@@ -78,16 +78,15 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("aapebench", flag.ContinueOnError)
 	var (
-		fabricFlag   = fs.String("fabric", "torus", "fabric kind the -dims shapes describe: torus or dragonfly (KxM)")
-		dimsFlag     = fs.String("dims", "8x8,16x16,4x4x4", "comma-separated fabric shapes to sweep")
-		algsFlag     = fs.String("algs", "", "comma-separated algorithms (default: every registered algorithm: "+strings.Join(algorithm.Names(), ", ")+")")
-		outFlag      = fs.String("out", "BENCH_exec.json", "ledger path ('-' = stdout only)")
-		serialFlag   = fs.Bool("serial", false, "time the serial reference executor instead of the parallel one")
-		parallelFlag = fs.Bool("parallel", true, "run the executor's parallel fan-out path (overridden by -serial)")
-		workersFlag  = fs.Int("workers", 0, "parallel executor worker count (0 = GOMAXPROCS)")
-		quickFlag    = fs.Bool("quick", false, "single timed run per cell instead of a full benchmark (for tests and smoke runs)")
-		samplesFlag  = fs.Int("samples", 5, "repeat timings per cell behind the ns_min/ns_max/ns_stddev ledger columns (<2 disables)")
-		pprofFlag    = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060) for the sweep's duration")
+		fabricFlag  = fs.String("fabric", "torus", "fabric kind the -dims shapes describe: torus or dragonfly (KxM)")
+		dimsFlag    = fs.String("dims", "8x8,16x16,4x4x4", "comma-separated fabric shapes to sweep")
+		algsFlag    = fs.String("algs", "", "comma-separated algorithms (default: every registered algorithm: "+strings.Join(algorithm.Names(), ", ")+")")
+		outFlag     = fs.String("out", "BENCH_exec.json", "ledger path ('-' = stdout only)")
+		serialFlag  = fs.Bool("serial", false, "time the serial reference executor instead of the parallel one")
+		workersFlag = fs.Int("workers", 0, "parallel executor worker count (0 = GOMAXPROCS)")
+		quickFlag   = fs.Bool("quick", false, "single timed run per cell instead of a full benchmark (for tests and smoke runs)")
+		samplesFlag = fs.Int("samples", 5, "repeat timings per cell behind the ns_min/ns_max/ns_stddev ledger columns (<2 disables)")
+		pprofFlag   = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060) for the sweep's duration")
 
 		shapesFlag     = fs.Int("shapes", 0, "after the sweep, replay the whole grid from this many concurrent tenants through the program cache and report hit-rate and warm latency (0 disables)")
 		uncompiledFlag = fs.Bool("uncompiled", false, "time the uncompiled executor (schedule re-validated every op) instead of the compiled replay fast path")
@@ -140,8 +139,7 @@ func run(args []string, w io.Writer) error {
 	if *algsFlag != "" {
 		algs = strings.Split(*algsFlag, ",")
 	}
-	serial := *serialFlag || !*parallelFlag
-	opt := exec.Options{Serial: serial, Workers: *workersFlag}
+	opt := exec.Options{Serial: *serialFlag, Workers: *workersFlag}
 	if *prewarmFlag {
 		if *cacheDirFlag == "" {
 			return fmt.Errorf("-prewarm needs -progcache-dir")
@@ -223,7 +221,7 @@ func run(args []string, w io.Writer) error {
 				return fmt.Errorf("%s on %s: %v", b.Name(), shapeString(dims), err)
 			}
 			entry := benchfmt.Entry{
-				Alg: b.Name(), Dims: dims, Parallel: !serial, Compiled: !*uncompiledFlag,
+				Alg: b.Name(), Dims: dims, Parallel: !opt.Serial, Compiled: !*uncompiledFlag,
 				CompileNs: compileNs, CompileAllocs: compileAllocs,
 				CompileParallelNs: compileParallelNs, Tier2LoadNs: tier2LoadNs,
 				Steps: res.Measure.Steps, Blocks: res.Measure.Blocks,
@@ -514,25 +512,18 @@ func registrySmoke(w io.Writer, opt exec.Options) error {
 	return nil
 }
 
-// replayShape renders a program's replay-table shape for the smoke
-// report: whether the span backing stayed payload-dense or was
-// rebase-compacted (the two span fast paths behave differently enough
-// that a registration silently flipping between them should be
-// visible), and the descriptor plan's size and rewrite/copy split.
+// replayShape renders a program's replay-plan shape for the smoke
+// report: the descriptor count and rewrite/copy split, and whether
+// every executed transfer delivers directly (rewrite-only) — so a
+// registration silently changing its plan shape is visible.
 func replayShape(pg *exec.Program) string {
 	st := pg.Stats()
 	if !st.Replayable {
 		return "structural"
 	}
-	mode := "spans=rebased"
-	if st.SpansDense {
-		mode = "spans=dense"
-	}
-	if st.Descriptors {
-		mode += fmt.Sprintf(" desc=%d rw=%d/%d", st.DescCount, st.Rewrites, st.Rewrites+st.Copies)
-		if st.RewriteOnly {
-			mode += " rewrite-only"
-		}
+	mode := fmt.Sprintf("desc=%d rw=%d/%d", st.DescCount, st.Rewrites, st.Rewrites+st.Copies)
+	if st.RewriteOnly {
+		mode += " rewrite-only"
 	}
 	return mode
 }

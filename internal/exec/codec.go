@@ -16,14 +16,14 @@ import (
 // split along the executor's own hot/cold boundary:
 //
 //   - The hot sections hold exactly what a replay touches — the
-//     lowered step and transfer tables, the extraction spans, the
-//     per-node delivery and capacity bounds, and the traffic ids —
-//     as flat little-endian arrays laid out field-for-field like the
-//     in-memory form, so decoding on a little-endian host is a
-//     handful of bounds-checked slice views over the file buffer
-//     (zero copies; big-endian hosts take an element-wise fallback).
-//     A decoded program replays through both executor paths without
-//     ever rebuilding the schedule it was compiled from.
+//     lowered step and transfer tables, the per-node delivery counts,
+//     the traffic ids and the descriptor replay plan — as flat
+//     little-endian arrays laid out field-for-field like the in-memory
+//     form, so decoding on a little-endian host is a handful of
+//     bounds-checked slice views over the file buffer (zero copies;
+//     big-endian hosts take an element-wise fallback). A decoded
+//     program replays serially and in parallel without ever
+//     rebuilding the schedule it was compiled from.
 //   - The cold section holds what only telemetry, re-encoding and
 //     Program.Schedule need — phase names, declared block counts,
 //     route legs and the payload ids — and is not parsed at decode
@@ -39,26 +39,23 @@ import (
 // every index a replay would follow, so a file that decodes cannot
 // make the executor read out of bounds.
 //
-// Format v1, all integers little-endian, sections 4-byte aligned:
+// Format v3, all integers little-endian, sections 4-byte aligned:
 //
 //	magic "TXPG" | u16 version | u8 flags | u8 reserved | u64 optFP
 //	u32 len + fabric fingerprint string, padded to 4
-//	u32 x9: n, numSteps, numTransfers, numSpans, numPhases,
-//	        maxStepPayload, maxSharing, numDomains, numTraffic
+//	u32 x7: n, numSteps, numTransfers, numPhases, maxSharing,
+//	        numDomains, numTraffic
 //	u64 x4: measure steps, blocks, hops, rearranged
 //	u32 coldLen
 //	steps     numSteps x 5 u32 (phaseIndex stepIndex sharing maxBlocks maxHops)
 //	stepT     (numSteps+1) x u32 (per-step transfer offsets)
-//	transfers numTransfers x 9 i32 (src dst payOff payLen linkOff
-//	          linkLen spanOff spanLen moveOff)
-//	spans     numSpans x 2 i32 (start end)
+//	transfers numTransfers x 6 i32 (src dst payOff payLen linkOff linkLen)
 //	perDest   n x i32            | only when flagReplay
-//	capacity  n x i32            | only when flagReplay
 //	traffic   numTraffic x i32   | only when flagReplay and not flagFullTraffic
 //	parallelErr u32 len + bytes, padded   | only when flagParallelErr
-//	descriptor section            | v2, only when flagDescriptors:
+//	descriptor section            | only when flagReplay:
 //	  u32 x4: numDesc, numTailFull, numTailResid, logSize
-//	  u64 x2: descBytes, spanBytes
+//	  u64 descBytes
 //	  dtransfers numTransfers x 4 i32 (descOff descLen insPos finalPos)
 //	  descBase   (n+1) x i32 (per-node log-region prefix)
 //	  descs      numDesc x 4 i32 (start count blocklen stride)
@@ -77,31 +74,28 @@ import (
 //	            stream padded to 4
 //	u32 CRC32 (IEEE) over all preceding bytes
 //
-// Format v2 is v1 plus the descriptor section above (the zero-copy
-// strided replay plan, see descriptor.go) and the flagDescriptors bit
-// that announces it. This build writes v2 and decodes both: a v1 file
-// (e.g. a warm disk cache written by an older build) decodes to a
-// span-only program — fully replayable, just without the descriptor
-// fast path. Derived state (per-step transfer bases, the delivery
-// layout prefix, the rewrite-only verdict) is recomputed at decode and
-// never serialized.
+// Every replayable program carries its descriptor section (the
+// zero-copy strided replay plan, see descriptor.go). Derived state
+// (per-step transfer bases, the delivery layout prefix, the
+// rewrite-only verdict) is recomputed at decode and never serialized.
+//
+// This build reads and writes v3 only: a file of any other version
+// fails DecodeProgram with the version error, which the disk tier
+// treats as a miss — it deletes the file and recompiles.
 
-// CodecVersion is the program file format version this build writes.
-// Decoding also accepts codecVersionV1 for backward compatibility.
-const CodecVersion = 2
-
-const codecVersionV1 = 1
+// CodecVersion is the program file format version this build writes
+// and reads.
+const CodecVersion = 3
 
 const codecMagic = "TXPG"
 
+// Flag bits. Bits 1 and 4 carried meanings in earlier versions; they
+// stay unassigned so an old file can never be misread as a newer one.
 const (
 	flagReplay      = 1 << 0
-	flagSpansDense  = 1 << 1
 	flagFullTraffic = 1 << 2
 	flagParallelErr = 1 << 3
-	flagDescriptors = 1 << 4 // v2 only; requires flagReplay
-	flagKnownV1     = flagReplay | flagSpansDense | flagFullTraffic | flagParallelErr
-	flagKnown       = flagKnownV1 | flagDescriptors
+	flagKnown       = flagReplay | flagFullTraffic | flagParallelErr
 )
 
 // maxDecodeBlocks bounds the dense block-id space (n*n) a decoder will
@@ -122,24 +116,17 @@ var hostLittle = func() bool {
 }()
 
 // ptLayoutMatches reports that the in-memory ptransfer layout equals
-// the file's 36-byte transfer record, making bulk unsafe views exact.
-// It holds on every supported Go platform (nine consecutive int32s);
+// the file's 24-byte transfer record, making bulk unsafe views exact.
+// It holds on every supported Go platform (six consecutive int32s);
 // if a future field breaks it, both codec paths fall back to the
 // element-wise loops and the format stays unchanged.
-var ptLayoutMatches = unsafe.Sizeof(ptransfer{}) == 36 &&
+var ptLayoutMatches = unsafe.Sizeof(ptransfer{}) == 24 &&
 	unsafe.Offsetof(ptransfer{}.src) == 0 &&
 	unsafe.Offsetof(ptransfer{}.dst) == 4 &&
 	unsafe.Offsetof(ptransfer{}.payOff) == 8 &&
 	unsafe.Offsetof(ptransfer{}.payLen) == 12 &&
 	unsafe.Offsetof(ptransfer{}.linkOff) == 16 &&
-	unsafe.Offsetof(ptransfer{}.linkLen) == 20 &&
-	unsafe.Offsetof(ptransfer{}.spanOff) == 24 &&
-	unsafe.Offsetof(ptransfer{}.spanLen) == 28 &&
-	unsafe.Offsetof(ptransfer{}.moveOff) == 32
-
-var spanLayoutMatches = unsafe.Sizeof(idxSpan{}) == 8 &&
-	unsafe.Offsetof(idxSpan{}.start) == 0 &&
-	unsafe.Offsetof(idxSpan{}.end) == 4
+	unsafe.Offsetof(ptransfer{}.linkLen) == 20
 
 var dtLayoutMatches = unsafe.Sizeof(dtransfer{}) == 16 &&
 	unsafe.Offsetof(dtransfer{}.descOff) == 0 &&
@@ -233,19 +220,16 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	}
 	var flags byte
 	if p.replay {
+		if p.descBase == nil {
+			return nil, fmt.Errorf("exec: encode: replayable program has no descriptor plan")
+		}
 		flags |= flagReplay
-	}
-	if p.spansDense {
-		flags |= flagSpansDense
 	}
 	if p.fullTraffic {
 		flags |= flagFullTraffic
 	}
 	if p.parallelErr != nil {
 		flags |= flagParallelErr
-	}
-	if p.descBase != nil {
-		flags |= flagDescriptors
 	}
 	numTraffic := 0
 	if p.replay && !p.fullTraffic {
@@ -306,7 +290,7 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	cold = pad4(cold)
 
 	fp := p.fab.Fingerprint()
-	b := make([]byte, 0, 256+len(cold)+numSteps*24+numTransfers*40+len(p.spanBacking)*8+3*n*4)
+	b := make([]byte, 0, 256+len(cold)+numSteps*24+numTransfers*40+len(p.descBacking)*16+6*n*4)
 	b = append(b, codecMagic...)
 	b = binary.LittleEndian.AppendUint16(b, CodecVersion)
 	b = append(b, flags, 0)
@@ -314,8 +298,8 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	b = appendU32(b, uint32(len(fp)))
 	b = append(b, fp...)
 	b = pad4(b)
-	for _, v := range []int{n, numSteps, numTransfers, len(p.spanBacking),
-		len(sc.Phases), p.maxStepPayload, p.maxSharing, p.numDomains, numTraffic} {
+	for _, v := range []int{n, numSteps, numTransfers,
+		len(sc.Phases), p.maxSharing, p.numDomains, numTraffic} {
 		if v < 0 || int64(v) > math.MaxUint32 {
 			return nil, fmt.Errorf("exec: encode: scalar %d out of range", v)
 		}
@@ -345,31 +329,21 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		for si := range p.steps {
 			ts := p.steps[si].transfers
 			if len(ts) > 0 {
-				b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&ts[0])), len(ts)*36)...)
+				b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&ts[0])), len(ts)*24)...)
 			}
 		}
 	} else {
 		for si := range p.steps {
 			for ti := range p.steps[si].transfers {
 				pt := &p.steps[si].transfers[ti]
-				for _, v := range [9]int32{pt.src, pt.dst, pt.payOff, pt.payLen,
-					pt.linkOff, pt.linkLen, pt.spanOff, pt.spanLen, pt.moveOff} {
+				for _, v := range [6]int32{pt.src, pt.dst, pt.payOff, pt.payLen, pt.linkOff, pt.linkLen} {
 					b = appendU32(b, uint32(v))
 				}
 			}
 		}
 	}
-	if hostLittle && spanLayoutMatches && len(p.spanBacking) > 0 {
-		b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&p.spanBacking[0])), len(p.spanBacking)*8)...)
-	} else {
-		for _, sp := range p.spanBacking {
-			b = appendU32(b, uint32(sp.start))
-			b = appendU32(b, uint32(sp.end))
-		}
-	}
 	if p.replay {
 		b = appendI32s(b, p.perDest)
-		b = appendI32s(b, p.capacity)
 		if !p.fullTraffic {
 			b = appendI32s(b, p.trafficIDs)
 		}
@@ -380,13 +354,12 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		b = append(b, msg...)
 		b = pad4(b)
 	}
-	if p.descBase != nil {
+	if p.replay {
 		b = appendU32(b, uint32(len(p.descBacking)))
 		b = appendU32(b, uint32(len(p.tailFull)))
 		b = appendU32(b, uint32(len(p.tailResid)))
 		b = appendU32(b, uint32(p.descBase[n]))
 		b = appendU64(b, uint64(p.descBytes))
-		b = appendU64(b, uint64(p.spanBytes))
 		if hostLittle && dtLayoutMatches && len(p.dtransfers) > 0 {
 			b = append(b, unsafe.Slice((*byte)(unsafe.Pointer(&p.dtransfers[0])), len(p.dtransfers)*16)...)
 		} else {
@@ -504,11 +477,11 @@ func (r *creader) count(elem int) int {
 // compiled on and optFP the compile-options fingerprint used at
 // encode time; both are checked against the embedded header so a
 // stale or misfiled cache artifact is rejected, not replayed. The
-// decoded program replays through both executor paths immediately;
-// its schedule (needed only for telemetry and re-encoding)
-// materializes lazily on first Schedule() call.
+// decoded program replays serially and in parallel immediately; its
+// schedule (needed only for telemetry and re-encoding) materializes
+// lazily on first Schedule() call.
 //
-// On little-endian hosts the transfer, span and id tables are views
+// On little-endian hosts the transfer, descriptor and id tables are views
 // over data — decode cost is the header walk, the CRC check and the
 // per-transfer index validation. The caller must not mutate data
 // afterwards.
@@ -520,23 +493,16 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		return nil, fmt.Errorf("exec: decode: not a program file (bad magic)")
 	}
 	version := binary.LittleEndian.Uint16(data[4:])
-	if version != CodecVersion && version != codecVersionV1 {
-		return nil, fmt.Errorf("exec: decode: program file version %d, this build reads %d and %d", version, codecVersionV1, CodecVersion)
+	if version != CodecVersion {
+		return nil, fmt.Errorf("exec: decode: program file version %d, this build reads %d", version, CodecVersion)
 	}
 	body, crcField := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
 	if got := crc32.ChecksumIEEE(body); got != crcField {
 		return nil, fmt.Errorf("exec: decode: checksum mismatch (file %08x, computed %08x): file corrupted or truncated", crcField, got)
 	}
 	flags := data[6]
-	known := byte(flagKnown)
-	if version == codecVersionV1 {
-		known = flagKnownV1
-	}
-	if flags&^known != 0 {
-		return nil, fmt.Errorf("exec: decode: unknown flags %#x", flags&^known)
-	}
-	if flags&flagDescriptors != 0 && flags&flagReplay == 0 {
-		return nil, fmt.Errorf("exec: decode: descriptor plan on a measure-only program")
+	if flags&^flagKnown != 0 {
+		return nil, fmt.Errorf("exec: decode: unknown flags %#x", flags&^flagKnown)
 	}
 	r := &creader{b: body, off: 8}
 	if gotFP := r.u64(); gotFP != optFP {
@@ -551,9 +517,7 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	n := int(r.u32())
 	numSteps := int(r.u32())
 	numTransfers := int(r.u32())
-	numSpans := int(r.u32())
 	numPhases := int(r.u32())
-	maxStepPayload := int(r.u32())
 	maxSharing := int(r.u32())
 	numDomains := int(r.u32())
 	numTraffic := int(r.u32())
@@ -574,12 +538,10 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 
 	p := &Program{
 		fab: f, n: n, numBlocks: n * n,
-		replay:         replay,
-		spansDense:     flags&flagSpansDense != 0,
-		fullTraffic:    fullTraffic,
-		maxSharing:     maxSharing,
-		maxStepPayload: maxStepPayload,
-		numDomains:     numDomains,
+		replay:      replay,
+		fullTraffic: fullTraffic,
+		maxSharing:  maxSharing,
+		numDomains:  numDomains,
 	}
 	p.measure.Steps = int(mSteps)
 	p.measure.Blocks = int(mBlocks)
@@ -588,12 +550,10 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 
 	stepHdr := asInt32s(r.take(numSteps * 20))
 	stepT := asInt32s(r.take((numSteps + 1) * 4))
-	tBytes := r.take(numTransfers * 36)
-	spBytes := r.take(numSpans * 8)
-	var perDest, capacity, trafficIDs []int32
+	tBytes := r.take(numTransfers * 24)
+	var perDest, trafficIDs []int32
 	if replay {
 		perDest = asInt32s(r.take(n * 4))
-		capacity = asInt32s(r.take(n * 4))
 		if !fullTraffic {
 			trafficIDs = asInt32s(r.take(numTraffic * 4))
 		}
@@ -612,13 +572,12 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		descBase, tailFullOff, tailResidOff         []int32
 		phaseRewrites, phaseCopies                  []int32
 	)
-	if flags&flagDescriptors != 0 {
+	if replay {
 		numDesc = int(r.u32())
 		numTailFull = int(r.u32())
 		numTailResid = int(r.u32())
 		logSize = int(r.u32())
 		p.descBytes = int64(r.u64())
-		p.spanBytes = int64(r.u64())
 		dtBytes = r.take(numTransfers * 16)
 		descBase = asInt32s(r.take((n + 1) * 4))
 		descBytesRaw = r.take(numDesc * 16)
@@ -637,8 +596,8 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		return nil, fmt.Errorf("exec: decode: %d trailing bytes after cold section", len(body)-r.off)
 	}
 
-	// Transfer and span tables: bulk views when the in-memory layout
-	// is the file layout, element-wise otherwise.
+	// Transfer table: a bulk view when the in-memory layout is the
+	// file layout, element-wise otherwise.
 	var transfers []ptransfer
 	if hostLittle && ptLayoutMatches && aligned4(tBytes) {
 		if numTransfers > 0 {
@@ -647,7 +606,7 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 	} else {
 		transfers = make([]ptransfer, numTransfers)
 		for i := range transfers {
-			rec := tBytes[i*36:]
+			rec := tBytes[i*24:]
 			pt := &transfers[i]
 			pt.src = int32(binary.LittleEndian.Uint32(rec[0:]))
 			pt.dst = int32(binary.LittleEndian.Uint32(rec[4:]))
@@ -655,20 +614,6 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			pt.payLen = int32(binary.LittleEndian.Uint32(rec[12:]))
 			pt.linkOff = int32(binary.LittleEndian.Uint32(rec[16:]))
 			pt.linkLen = int32(binary.LittleEndian.Uint32(rec[20:]))
-			pt.spanOff = int32(binary.LittleEndian.Uint32(rec[24:]))
-			pt.spanLen = int32(binary.LittleEndian.Uint32(rec[28:]))
-			pt.moveOff = int32(binary.LittleEndian.Uint32(rec[32:]))
-		}
-	}
-	if hostLittle && spanLayoutMatches && aligned4(spBytes) {
-		if numSpans > 0 {
-			p.spanBacking = unsafe.Slice((*idxSpan)(unsafe.Pointer(&spBytes[0])), numSpans)
-		}
-	} else {
-		p.spanBacking = make([]idxSpan, numSpans)
-		for i := range p.spanBacking {
-			p.spanBacking[i].start = int32(binary.LittleEndian.Uint32(spBytes[i*8:]))
-			p.spanBacking[i].end = int32(binary.LittleEndian.Uint32(spBytes[i*8+4:]))
 		}
 	}
 
@@ -703,21 +648,8 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		if pt.payLen < 0 || pt.payOff < 0 || pt.linkLen < 0 || pt.linkOff < 0 {
 			return nil, fmt.Errorf("exec: decode: transfer %d negative window", i)
 		}
-		if pt.payLen > 0 {
-			if !replay {
-				return nil, fmt.Errorf("exec: decode: transfer %d carries payload in a measure-only program", i)
-			}
-			if p.spansDense {
-				if int64(pt.payOff)+int64(pt.payLen) > int64(numSpans) {
-					return nil, fmt.Errorf("exec: decode: transfer %d span window out of range", i)
-				}
-			} else if pt.spanOff < 0 || pt.spanLen < 1 || int64(pt.spanOff)+int64(pt.spanLen) > int64(numSpans) {
-				// spanLen >= 1: extraction reads spans[0] unconditionally.
-				return nil, fmt.Errorf("exec: decode: transfer %d span window out of range", i)
-			}
-			if pt.moveOff < 0 || int64(pt.moveOff)+int64(pt.payLen) > int64(maxStepPayload) {
-				return nil, fmt.Errorf("exec: decode: transfer %d extraction window out of range", i)
-			}
+		if pt.payLen > 0 && !replay {
+			return nil, fmt.Errorf("exec: decode: transfer %d carries payload in a measure-only program", i)
 		}
 		// numPayload (for the materialize cross-checks) is the largest
 		// payload window end, tracked inline to avoid a second pass.
@@ -725,23 +657,13 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			numPayload = end
 		}
 	}
-	maxCap := int32(0)
 	if replay {
 		for v := 0; v < n; v++ {
-			if perDest[v] < 0 || capacity[v] < 0 {
-				return nil, fmt.Errorf("exec: decode: node %d delivery/capacity bound negative", v)
-			}
-			if capacity[v] > maxCap {
-				maxCap = capacity[v]
-			}
-		}
-		for _, sp := range p.spanBacking {
-			if sp.start < 0 || sp.end < sp.start || sp.end > maxCap {
-				return nil, fmt.Errorf("exec: decode: span [%d,%d) outside any node buffer", sp.start, sp.end)
+			if perDest[v] < 0 {
+				return nil, fmt.Errorf("exec: decode: node %d delivery count negative", v)
 			}
 		}
 		p.perDest = perDest
-		p.capacity = capacity
 		if fullTraffic {
 			ids := make([]int32, p.numBlocks)
 			for i := range ids {
@@ -756,15 +678,12 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 			}
 			p.trafficIDs = trafficIDs
 		}
-		// Delivery layout prefix — derived, for every replayable program
-		// (ReplayInto's span fallback needs it on v1 files too).
+		// Delivery layout prefix — derived, never serialized.
 		finalBase := make([]int32, n+1)
 		for v := 0; v < n; v++ {
 			finalBase[v+1] = finalBase[v] + perDest[v]
 		}
 		p.finalBase = finalBase
-	}
-	if flags&flagDescriptors != 0 {
 		if err := p.decodeDescPlan(dtBytes, descBase, descBytesRaw, tailFullOff, tailFullRaw,
 			tailResidOff, tailResidRaw, phaseRewrites, phaseCopies,
 			numDesc, numTailFull, numTailResid, logSize, numTransfers, numPayload); err != nil {
@@ -846,7 +765,7 @@ func (p *Program) decodeDescPlan(dtBytes []byte, descBase []int32, descRaw []byt
 	phaseRewrites, phaseCopies []int32,
 	numDesc, numTailFull, numTailResid, logSize, numTransfers, numPayload int) error {
 	n := p.n
-	if p.descBytes < 0 || p.spanBytes < 0 {
+	if p.descBytes < 0 {
 		return fmt.Errorf("exec: decode: negative bytes-moved measure")
 	}
 	if logSize < 0 || logSize > p.numBlocks+numPayload {

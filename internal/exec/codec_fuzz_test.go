@@ -77,7 +77,7 @@ func FuzzProgramDecode(f *testing.F) {
 	})
 }
 
-// FuzzDescriptorDecode extends the decode fuzzing contract to the v2
+// FuzzDescriptorDecode extends the decode fuzzing contract to the
 // descriptor section: any program the decoder accepts must not only
 // materialize safely, it must REPLAY safely — serial, parallel, and
 // through ReplayInto — because the descriptor plan is executed with

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"torusx/internal/algorithm"
@@ -248,7 +249,7 @@ func TestProgramDecodeRejects(t *testing.T) {
 	})
 }
 
-// TestProgramCodecGolden pins the v2 byte format: the committed
+// TestProgramCodecGolden pins the v3 byte format: the committed
 // golden files must decode, and re-encoding the 4x4 programs must
 // reproduce them bit-for-bit. A diff here means the format changed —
 // bump CodecVersion rather than silently breaking every cached
@@ -276,7 +277,7 @@ func TestProgramCodecGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "program_v2_"+alg+"4x4.bin")
+			path := filepath.Join("testdata", "program_v3_"+alg+"4x4.bin")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -290,7 +291,7 @@ func TestProgramCodecGolden(t *testing.T) {
 				t.Fatalf("read golden (regenerate with -update): %v", err)
 			}
 			if !bytes.Equal(enc, want) {
-				t.Fatalf("encoding diverges from committed v2 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
+				t.Fatalf("encoding diverges from committed v3 golden (%d vs %d bytes); if the format changed deliberately, bump CodecVersion and -update", len(enc), len(want))
 			}
 			dec, err := exec.DecodeProgram(want, tor, 0)
 			if err != nil {
@@ -329,50 +330,27 @@ func TestProgramCodecGolden(t *testing.T) {
 	}
 }
 
-// TestProgramCodecV1DecodeCompat: the committed v1 golden — written
-// before the descriptor section existed — must keep decoding, so a
-// warm -progcache-dir full of v1 programs still serves after an
-// upgrade. A v1 program carries no descriptor plan: it replays on the
-// span path only, and must still deliver the same matrix as a fresh
-// compile of the same schedule (which replays through descriptors).
-func TestProgramCodecV1DecodeCompat(t *testing.T) {
-	path := filepath.Join("testdata", "program_v1_direct4x4.bin")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read committed v1 golden (must never be regenerated): %v", err)
-	}
+// TestProgramCodecStaleVersionsRejected: the committed files of the
+// earlier format versions — the v1 golden and the two v2 goldens, kept
+// byte for byte and never regenerated — must fail DecodeProgram with
+// the version error, not decode into a half-understood program. The
+// disk tier turns exactly this error into a miss and a recompile (see
+// progcache's stale-file test).
+func TestProgramCodecStaleVersionsRejected(t *testing.T) {
 	tor := topology.MustNew(4, 4)
-	dec, err := exec.DecodeProgram(raw, tor, 0)
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if st := dec.Stats(); st.Descriptors {
-		t.Fatal("v1 program decoded with a descriptor plan")
-	}
-	b, err := algorithm.For("direct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := b.BuildSchedule(tor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := exec.Compile(sc, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Measure() != pg.Measure() {
-		t.Fatalf("v1 Measure %+v, want %+v", dec.Measure(), pg.Measure())
-	}
-	want, err := pg.Run(exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, serial := range []bool{true, false} {
-		got, err := dec.Run(exec.Options{Serial: serial})
-		if err != nil {
-			t.Fatalf("v1 replay (serial=%v): %v", serial, err)
-		}
-		sameBuffers(t, want.Buffers, got.Buffers)
+	for _, name := range []string{"program_v1_direct4x4.bin", "program_v2_direct4x4.bin", "program_v2_factored4x4.bin"} {
+		t.Run(name, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatalf("read committed stale golden (must never be regenerated): %v", err)
+			}
+			_, err = exec.DecodeProgram(raw, tor, 0)
+			if err == nil {
+				t.Fatal("stale program file decoded")
+			}
+			if !strings.Contains(err.Error(), "program file version") {
+				t.Fatalf("stale file rejected with %q, want the version error", err)
+			}
+		})
 	}
 }

@@ -10,17 +10,17 @@ import (
 
 // Zero-copy strided-datatype replay: the descriptor plan.
 //
-// The span replay models every node's buffer as a compacted array —
-// each extraction copies its payload out and shifts the survivors down
-// over the holes, so short scattered payloads (the ρ phases of
-// factored and logtime) degenerate into many small copies plus a full
-// compaction pass per transfer. The descriptor plan replaces the
-// compacted buffer with an append-only block log: every block's
-// physical position is the log slot its arrival was assigned, fixed
-// forever, and fully computable at compile time from pass 1's arrival
-// stamps. Nothing ever compacts; a transfer is one strided gather from
-// the source node's log region into a precomputed contiguous window of
-// the destination's region.
+// A compiled program never models a node's buffer as a compacted
+// array (which would make every extraction copy its payload out and
+// shift the survivors down over the holes, so the short scattered
+// payloads of the ρ phases of factored and logtime would degenerate
+// into many small copies plus a compaction pass per transfer). It uses
+// an append-only block log instead: every block's physical position is
+// the log slot its arrival was assigned, fixed forever, and fully
+// computable at compile time from pass 1's arrival stamps. Nothing
+// ever compacts; a transfer is one strided gather from the source
+// node's log region into a precomputed contiguous window of the
+// destination's region.
 //
 // On top of the fixed positions, two compile-time rewrites remove
 // copies entirely:
@@ -30,7 +30,7 @@ import (
 //     and the next hop's gather descriptors absorb the permutation —
 //     whenever costmodel.RewriteWins prices the descriptor dispatches
 //     below the bulk copy. Payloads too scattered to express cheaply
-//     execute the copy and re-coalesce, exactly like the span path.
+//     execute the copy into a fresh contiguous window.
 //   - last-hop direct delivery: a transfer that is the final mover of
 //     every block it carries gets a precomputed window in the final
 //     delivery layout, so ReplayInto gathers it straight into the
@@ -38,13 +38,11 @@ import (
 //     payload transfer is elided or last-hop is rewrite-only:
 //     ReplayInto touches no arena scratch at all.
 //
-// The plan is built by a third compile pass (parallel over nodes, like
-// pass 2) reusing pass 1's per-node event runs, priced per transfer,
-// and the winner recorded in the per-phase rewrite/copy counters. The
-// span tables stay fully intact: the two modes replay the same program
-// byte-identically (differentially tested), Options.SpanReplay forces
-// the old path, and programs decoded from v1 files (which carry no
-// plan) replay through spans unchanged.
+// The plan is built by a second compile pass (parallel over nodes)
+// reusing pass 1's per-node event runs, priced per transfer, and the
+// winner recorded in the per-phase rewrite/copy counters. Replay
+// through the plan is differentially tested against the uncompiled
+// serial executor on every registry (fabric, algorithm) pair.
 
 // xdesc is one strided datatype descriptor: count windows of blocklen
 // consecutive log slots, window starts stride apart. count == 1 is a
@@ -183,13 +181,13 @@ func growDesc(s []xdesc, n int) []xdesc {
 	return s[:n]
 }
 
-// planDescriptors is compile pass 3: it lowers the replay to the
+// planDescriptors is compile pass 2: it lowers the replay to the
 // descriptor plan. Inputs are pass 1's artifacts: the per-node event
 // runs (opOff/opBacking, with ordOff/ordSpill resolving the rare
 // stamp-resorted payloads), the per-node initial contents
 // (initIDs/initOff), the final holder/stamp table hs, the per-node
 // arrival totals, and each transfer's first-arriving block id
-// (firstArr). Must run after pass 2 verified delivery.
+// (firstArr). Must run after compileReplay verified delivery.
 func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordSpill, initIDs, initOff []int32,
 	hs []uint64, arrivals, firstArr []int32, numT int) {
 	n := p.n
@@ -361,8 +359,8 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			nodeLog[v] = int32(cursor)
 
 			// Tail plans over the node's final deliveries, in final
-			// arrival order (== the span path's buffer order, so both
-			// modes deliver identically ordered buffers).
+			// arrival order (== the uncompiled executor's buffer order,
+			// so both deliver identically ordered buffers).
 			seg := survAll[finalBase[v]:finalBase[v+1]]
 			sort.Slice(seg, func(a, b int) bool { return uint32(hs[seg[a]]) < uint32(hs[seg[b]]) })
 			for rank, id := range seg {

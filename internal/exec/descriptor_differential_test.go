@@ -1,9 +1,9 @@
 // The descriptor-replay differential layer: a compiled program's
 // descriptor plan — the ρ-rewrite elisions, the strided gathers, the
 // direct last-hop deliveries — must be observably indistinguishable
-// from the span replay it replaced, on every (fabric, algorithm) pair
-// the registry supports, serially and in parallel, and through
-// ReplayInto's caller-owned destination buffers.
+// from the uncompiled serial reference executor, on every (fabric,
+// algorithm) pair the registry supports, serially and in parallel, and
+// through ReplayInto's caller-owned destination buffers.
 package exec_test
 
 import (
@@ -58,12 +58,13 @@ func sameIDs(t *testing.T, label string, want, got []int32) {
 	}
 }
 
-// TestDescriptorDifferentialReplay is the tentpole's contract: on
-// every supported (fabric, algorithm) registry pair, descriptor replay
-// — serial and parallel — must deliver byte-identically to the span
-// replay of the same program, the plan must pass its static
-// invariants, and ReplayInto must write the same ids into a
-// caller-owned buffer. Runs under -race in CI's differential job.
+// TestDescriptorDifferentialReplay is the descriptor plan's contract:
+// on every supported (fabric, algorithm) registry pair, descriptor
+// replay — serial and parallel — must deliver byte-identically to the
+// uncompiled serial reference (exec.Run with Options.Serial), the plan
+// must pass its static invariants, and ReplayInto must write the same
+// ids into a caller-owned buffer. Runs under -race in CI's
+// differential job.
 func TestDescriptorDifferentialReplay(t *testing.T) {
 	for _, fab := range descriptorFabrics() {
 		for _, name := range algorithm.Supporting(fab) {
@@ -76,6 +77,10 @@ func TestDescriptorDifferentialReplay(t *testing.T) {
 				if err != nil {
 					t.Skipf("builder: %v", err)
 				}
+				ref, err := exec.Run(sc, exec.Options{Serial: true})
+				if err != nil {
+					t.Fatal(err)
+				}
 				pg, err := exec.Compile(sc, exec.Options{})
 				if err != nil {
 					t.Fatal(err)
@@ -84,19 +89,10 @@ func TestDescriptorDifferentialReplay(t *testing.T) {
 					t.Fatalf("descriptor plan: %v", err)
 				}
 				arena := pg.NewArena()
-				ref, err := pg.RunArena(arena, exec.Options{Serial: true, SpanReplay: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ref.Replayed {
-					return // structural program: no deliveries to compare
-				}
-				refIDs := flatIDs(ref.Buffers)
 				runs := []struct {
 					label string
 					opt   exec.Options
 				}{
-					{"span-parallel", exec.Options{Workers: 3, SpanReplay: true}},
 					{"desc-serial", exec.Options{Serial: true}},
 					{"desc-parallel", exec.Options{}},
 					{"desc-workers-3", exec.Options{Workers: 3}},
@@ -106,12 +102,16 @@ func TestDescriptorDifferentialReplay(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", r.label, err)
 					}
-					if got.Measure != ref.Measure || got.MaxSharing != ref.MaxSharing {
-						t.Fatalf("%s: Measure %+v sharing %d, want %+v %d", r.label,
-							got.Measure, got.MaxSharing, ref.Measure, ref.MaxSharing)
+					if got.Measure != ref.Measure || got.MaxSharing != ref.MaxSharing || got.Replayed != ref.Replayed {
+						t.Fatalf("%s: Measure %+v sharing %d replayed %v, want %+v %d %v", r.label,
+							got.Measure, got.MaxSharing, got.Replayed, ref.Measure, ref.MaxSharing, ref.Replayed)
 					}
 					sameBuffers(t, ref.Buffers, got.Buffers)
 				}
+				if !ref.Replayed {
+					return // structural program: no deliveries to compare
+				}
+				refIDs := flatIDs(ref.Buffers)
 				// ReplayInto: user-owned destination, all paths, same ids.
 				dst := make([]int32, pg.DeliverySize())
 				into := []struct {
@@ -120,7 +120,6 @@ func TestDescriptorDifferentialReplay(t *testing.T) {
 				}{
 					{"into-serial", exec.Options{Serial: true}},
 					{"into-parallel", exec.Options{Workers: 2}},
-					{"into-span", exec.Options{Serial: true, SpanReplay: true}},
 				}
 				for _, r := range into {
 					for i := range dst {
@@ -213,8 +212,8 @@ func rhoRingSchedule(t *testing.T) *schedule.Schedule {
 // schedule with explicit rearrangement self-transfers, the planner
 // must elide every one of them (recording the wins in the phase
 // ledger), descriptor replay must still deliver byte-identically to
-// span replay and to the uncompiled reference on every path, and the
-// elision must show up as fewer bytes physically moved.
+// the uncompiled serial reference on every path, and the elided ρ
+// phase must copy no bytes at all.
 func TestDescriptorRhoElision(t *testing.T) {
 	sc := rhoRingSchedule(t)
 	ref, err := exec.Run(sc, exec.Options{Serial: true})
@@ -235,16 +234,23 @@ func TestDescriptorRhoElision(t *testing.T) {
 	if pg.RewriteRatio() <= 0 {
 		t.Fatalf("rewrite ratio %v, want > 0", pg.RewriteRatio())
 	}
-	if pg.BytesMoved() >= pg.SpanBytesMoved() {
-		t.Fatalf("descriptor replay moves %d bytes, span %d — elision bought nothing",
-			pg.BytesMoved(), pg.SpanBytesMoved())
+	// Every ring transfer is one gather of its payload; the elided ρ
+	// reversals add nothing on top.
+	var ringBytes int64
+	for _, st := range sc.Phases[1].Steps {
+		for _, tr := range st.Transfers {
+			ringBytes += 4 * int64(len(tr.Payload))
+		}
+	}
+	if pg.BytesMoved() != ringBytes {
+		t.Fatalf("replay moves %d bytes, want %d (the ring gathers alone) — the ρ phase was not elided",
+			pg.BytesMoved(), ringBytes)
 	}
 	arena := pg.NewArena()
 	for _, r := range []struct {
 		label string
 		opt   exec.Options
 	}{
-		{"span-serial", exec.Options{Serial: true, SpanReplay: true}},
 		{"desc-serial", exec.Options{Serial: true}},
 		{"desc-parallel", exec.Options{Workers: 3}},
 	} {
@@ -301,8 +307,7 @@ func TestReplayIntoZeroAlloc(t *testing.T) {
 
 // TestBytesMovedMatchesTelemetry: the Program.BytesMoved accessor, the
 // run Result, and the telemetry stream's exec.bytes_moved counter must
-// agree — one number per mode, reported identically through every
-// surface.
+// agree — one number, reported identically through every surface.
 func TestBytesMovedMatchesTelemetry(t *testing.T) {
 	tor := topology.MustNew(8, 8)
 	for _, name := range []string{"direct", "factored", "proposed-sim"} {
@@ -318,42 +323,39 @@ func TestBytesMovedMatchesTelemetry(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, span := range []bool{false, true} {
-			want := pg.BytesMoved()
-			if span {
-				want = pg.SpanBytesMoved()
-			}
-			sink := &telemetry.MemorySink{}
-			rec := telemetry.New(sink, costmodel.T3D(64))
-			res, err := pg.Run(exec.Options{Serial: true, SpanReplay: span, Telemetry: rec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.BytesMoved != want {
-				t.Fatalf("%s span=%v: Result.BytesMoved %d, accessor %d", name, span, res.BytesMoved, want)
-			}
-			found := false
-			for _, ev := range sink.Events() {
-				if ev.Kind == telemetry.CounterKind && ev.Name == "exec.bytes_moved" {
-					found = true
-					if ev.Value != float64(want) {
-						t.Fatalf("%s span=%v: telemetry bytes_moved %v, accessor %d", name, span, ev.Value, want)
-					}
+		want := pg.BytesMoved()
+		sink := &telemetry.MemorySink{}
+		rec := telemetry.New(sink, costmodel.T3D(64))
+		res, err := pg.Run(exec.Options{Serial: true, Telemetry: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BytesMoved != want {
+			t.Fatalf("%s: Result.BytesMoved %d, accessor %d", name, res.BytesMoved, want)
+		}
+		found := false
+		for _, ev := range sink.Events() {
+			if ev.Kind == telemetry.CounterKind && ev.Name == "exec.bytes_moved" {
+				found = true
+				if ev.Value != float64(want) {
+					t.Fatalf("%s: telemetry bytes_moved %v, accessor %d", name, ev.Value, want)
 				}
 			}
-			if !found {
-				t.Fatalf("%s span=%v: no exec.bytes_moved counter in the stream", name, span)
-			}
+		}
+		if !found {
+			t.Fatalf("%s: no exec.bytes_moved counter in the stream", name)
 		}
 	}
 }
 
 // TestDescriptorBytesGate is the machine-independent half of the perf
-// acceptance: on the multi-phase rearranging algorithms the descriptor
-// plan must physically copy fewer bytes per replay than the span path
-// it replaced, at 8x8 and 16x16. Both measures are deterministic plan
-// properties, so this gate never flakes across hosts.
+// acceptance: on the multi-phase rearranging algorithms the bytes one
+// replay physically copies, and the share of payload transfers elided
+// to descriptor rewrites, are pinned to exact values at 8x8 and 16x16.
+// Both are deterministic plan properties, so this gate never flakes
+// across hosts; a change here means the descriptor planner changed.
 func TestDescriptorBytesGate(t *testing.T) {
+	want := map[string]int64{"8x8": 49152, "16x16": 1048576}
 	for _, name := range []string{"factored", "logtime"} {
 		for _, dims := range [][]int{{8, 8}, {16, 16}} {
 			b, err := algorithm.For(name)
@@ -368,13 +370,14 @@ func TestDescriptorBytesGate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			desc, span := pg.BytesMoved(), pg.SpanBytesMoved()
-			if desc >= span {
-				t.Errorf("%s@%v: descriptor replay moves %d bytes, span replay %d — no win", name, dims, desc, span)
-			} else {
-				t.Logf("%s@%v: %d -> %d bytes (-%.0f%%), rewrite ratio %.2f",
-					name, dims, span, desc, 100*(1-float64(desc)/float64(span)), pg.RewriteRatio())
+			shape := fmt.Sprintf("%dx%d", dims[0], dims[1])
+			if got := pg.BytesMoved(); got != want[shape] {
+				t.Errorf("%s@%s: replay moves %d bytes, want %d", name, shape, got, want[shape])
 			}
+			if r := pg.RewriteRatio(); r != 0 {
+				t.Errorf("%s@%s: rewrite ratio %.2f, want 0.00", name, shape, r)
+			}
+			t.Logf("%s@%s: %d bytes, rewrite ratio %.2f", name, shape, pg.BytesMoved(), pg.RewriteRatio())
 		}
 	}
 }

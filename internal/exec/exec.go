@@ -63,12 +63,6 @@ type Options struct {
 	// Nil is the disabled state and costs the replay path nothing,
 	// same contract as Telemetry.
 	Request *obs.Request
-	// SpanReplay forces a compiled program's span-coalesced replay path
-	// even when the program carries a descriptor plan. The differential
-	// suite uses it to compare the two modes; it is also the implicit
-	// (and only) path for programs decoded from v1 files, which carry no
-	// plan. Ignored by the uncompiled executor and by Compile.
-	SpanReplay bool
 }
 
 // Result is the outcome of executing a schedule.
@@ -85,10 +79,10 @@ type Result struct {
 	// MaxSharing is the largest link-sharing serialization factor of
 	// any step (1 for fully contention-free schedules).
 	MaxSharing int
-	// BytesMoved is the bytes the replay physically copied through the
-	// arena on the mode that ran — descriptor (gathers only) or span
-	// (extraction copies, compaction shifts, insert appends). Zero for
-	// uncompiled and structural-only runs, which don't measure it.
+	// BytesMoved is the bytes a compiled replay physically copied
+	// through the arena: its descriptor gathers, ρ rewrites costing
+	// nothing. Zero for uncompiled and structural-only runs, which don't
+	// measure it.
 	BytesMoved int64
 }
 

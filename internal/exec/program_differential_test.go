@@ -8,6 +8,7 @@
 package exec_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -228,6 +229,48 @@ func TestCompiledDifferentialRejects(t *testing.T) {
 			// layer on both paths (structural here, so both accept).
 			if _, err := exec.Compile(tc.sc, exec.Options{SkipChecks: true}); err != nil {
 				t.Errorf("SkipChecks compile: %v", err)
+			}
+		})
+	}
+}
+
+// TestCompileDeliveryRejects pins Compile's delivery checks: a
+// schedule that leaves a node with the wrong block count, or with the
+// right count but a block addressed elsewhere, fails to compile with
+// the count or misdelivery error — the lowest node first and, within a
+// node, its earliest-arriving stray block. The uncompiled serial
+// reference rejects both schedules too.
+func TestCompileDeliveryRejects(t *testing.T) {
+	tor := topology.MustNew(4)
+	// One ρ-style self-transfer at node 2 makes the program replayable;
+	// every other block stays where the matrix put it.
+	b22 := block.Block{Origin: 2, Dest: 2}
+	sc := &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
+		Name: "rho",
+		Steps: []schedule.Step{{Transfers: []schedule.Transfer{
+			{Src: 2, Dst: 2, Dim: 0, Dir: topology.Pos, Hops: 0, Blocks: 1, Payload: []block.Block{b22}},
+		}}},
+	}}}
+	cases := []struct {
+		name    string
+		traffic []block.Block
+		want    string
+	}{
+		{"count", []block.Block{b22, {Origin: 0, Dest: 1}},
+			"exec: node 0 holds 1 blocks after replay, want 0"},
+		// Node 0 holds its two blocks' worth, but both are its own
+		// outgoing ones; (0,3) arrived first (matrix order).
+		{"misdelivered", []block.Block{b22, {Origin: 1, Dest: 0}, {Origin: 3, Dest: 0}, {Origin: 0, Dest: 3}, {Origin: 0, Dest: 1}},
+			fmt.Sprintf("exec: node 0 holds misdelivered block %v", block.Block{Origin: 0, Dest: 3})},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := exec.Compile(sc, exec.Options{Traffic: tc.traffic})
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("Compile error %v, want %q", err, tc.want)
+			}
+			if _, err := exec.Run(sc, exec.Options{Serial: true, Traffic: tc.traffic}); err == nil {
+				t.Fatal("uncompiled serial reference accepted the schedule")
 			}
 		})
 	}

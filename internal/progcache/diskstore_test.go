@@ -1,15 +1,19 @@
 package progcache_test
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"torusx/internal/baseline"
 	"torusx/internal/exec"
 	"torusx/internal/progcache"
 	"torusx/internal/topology"
+	"torusx/internal/verify"
 )
 
 // TestDiskStoreRoundTrip: store then load through a bare DiskStore,
@@ -271,4 +275,132 @@ func TestEvictionStatsDistinguishDiskBacked(t *testing.T) {
 	if !strings.Contains(st.String(), "disk-backed") {
 		t.Fatalf("footer lacks the eviction split: %q", st.String())
 	}
+}
+
+// TestTier2StaleVersionIsMiss: program files written by an earlier
+// codec version (the committed v1 and v2 goldens of internal/exec,
+// planted under the key they were compiled for) are a clean tier-2
+// miss. The load deletes the stale file, the request compiles once and
+// writes back a current-version file, a fresh cache over the same
+// directory then hits tier 2, and the reloaded program delivers.
+func TestTier2StaleVersionIsMiss(t *testing.T) {
+	tor := topology.MustNew(4, 4)
+	compilers := map[string]func() (*exec.Program, error){
+		"direct": func() (*exec.Program, error) { return compileDirect(tor) },
+		"factored": func() (*exec.Program, error) {
+			sc, err := baseline.FactoredSchedule(tor)
+			if err != nil {
+				return nil, err
+			}
+			return exec.Compile(sc, exec.Options{})
+		},
+	}
+	for _, tc := range []struct{ file, alg string }{
+		{"program_v1_direct4x4.bin", "direct"},
+		{"program_v2_direct4x4.bin", "direct"},
+		{"program_v2_factored4x4.bin", "factored"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			stale, err := os.ReadFile(filepath.Join("..", "exec", "testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			key := progcache.Key(tc.alg, tor, 0)
+			path := plantProgram(t, dir, key, tor, stale)
+
+			c := progcache.New(0)
+			store, err := progcache.NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetTier2(store)
+			pg, err := c.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Errorf("stale file still on disk when the compile runs (stat: %v)", err)
+				}
+				return compilers[tc.alg]()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := c.Stats(); st.Tier2Misses != 1 || st.Tier2Hits != 0 || st.Compiles != 1 || st.Tier2Stores != 1 {
+				t.Fatalf("stale-file request stats: %v, want 1 tier-2 miss, 1 compile, 1 store", st)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("no write-back after the recompile: %v", err)
+			}
+			if v := binary.LittleEndian.Uint16(data[(4+len(key)+7)&^7+4:]); v != exec.CodecVersion {
+				t.Fatalf("write-back has codec version %d, want %d", v, exec.CodecVersion)
+			}
+
+			warm := progcache.New(0)
+			store2, err := progcache.NewDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm.SetTier2(store2)
+			got, err := warm.GetOrCompileTiered(key, tor, 0, nil, func() (*exec.Program, error) {
+				t.Error("compile ran despite the rewritten disk tier")
+				return compilers[tc.alg]()
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := warm.Stats(); st.Tier2Hits != 1 || st.Compiles != 0 {
+				t.Fatalf("fresh cache stats: %v, want 1 tier-2 hit, 0 compiles", st)
+			}
+			want, err := pg.Run(exec.Options{Serial: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opt := range []exec.Options{{Serial: true}, {Workers: 2}} {
+				res, err := got.Run(opt)
+				if err != nil {
+					t.Fatalf("replay of the reloaded program: %v", err)
+				}
+				if err := verify.Delivered(tor, res.Buffers); err != nil {
+					t.Fatalf("reloaded program misdelivers: %v", err)
+				}
+				for v := range want.Buffers {
+					if !reflect.DeepEqual(res.Buffers[v].View(), want.Buffers[v].View()) {
+						t.Fatalf("node %d delivery differs from the fresh compile", v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// plantProgram writes raw program bytes into dir as the store's file
+// for key: a current program is stored first to get the file name and
+// key header, then its program bytes are replaced by raw. It returns
+// the file's path.
+func plantProgram(t *testing.T, dir, key string, tor *topology.Torus, raw []byte) string {
+	t.Helper()
+	store, err := progcache.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := compileDirect(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Store(key, pg, 0); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.txpg"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("want 1 stored file, got %v (%v)", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := (4 + len(key) + 7) &^ 7
+	if err := os.WriteFile(files[0], append(data[:hdr:hdr], raw...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return files[0]
 }

@@ -231,7 +231,7 @@ func (c *Cache) GetOrCompileTiered(key string, f topology.Fabric, optFP uint64, 
 	return c.getOrCompile(key, f, optFP, req, compile)
 }
 
-func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *obs.Request, compile func() (*exec.Program, error)) (*exec.Program, error) {
+func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *obs.Request, compile func() (*exec.Program, error)) (prog *exec.Program, err error) {
 	sp := req.Stage("cache-lookup")
 	s := &c.shards[c.shardOf(key)]
 	s.mu.Lock()
@@ -259,8 +259,24 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 	c.misses.Add(1)
 
 	onDisk := false
-	var prog *exec.Program
-	var err error
+	// Publish the leader's result and release the key on every exit. A
+	// panic in the tier-2 load, the compile or the write-back becomes
+	// an error for the leader and every waiter; like any error it is not
+	// cached, so the next request for the key compiles afresh instead of
+	// parking forever on a call no one will finish.
+	defer func() {
+		if r := recover(); r != nil {
+			prog, err = nil, fmt.Errorf("progcache: compile of %s panicked: %v", key, r)
+		}
+		cl.prog, cl.err = prog, err
+		s.mu.Lock()
+		delete(s.inflight, key)
+		if err == nil {
+			c.insertLocked(s, key, prog, onDisk)
+		}
+		s.mu.Unlock()
+		cl.wg.Done()
+	}()
 	if c.tier2 != nil && f != nil {
 		lsp := req.Stage("tier2-load")
 		start := time.Now()
@@ -292,15 +308,6 @@ func (c *Cache) getOrCompile(key string, f topology.Fabric, optFP uint64, req *o
 			ssp.End()
 		}
 	}
-	cl.prog, cl.err = prog, err
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if err == nil {
-		c.insertLocked(s, key, prog, onDisk)
-	}
-	s.mu.Unlock()
-	cl.wg.Done()
 	return prog, err
 }
 

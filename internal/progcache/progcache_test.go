@@ -3,6 +3,7 @@ package progcache_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,7 +17,7 @@ import (
 )
 
 // compileDirect compiles the direct-exchange schedule on tor — a real
-// program with payload spans, so SizeBytes is meaningful.
+// program with payloads, so SizeBytes is meaningful.
 func compileDirect(tor *topology.Torus) (*exec.Program, error) {
 	return exec.Compile(baseline.DirectSchedule(tor), exec.Options{})
 }
@@ -249,6 +250,68 @@ func TestErrorNotCached(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
 		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestLeaderPanicReleasesWaiters: a compile that panics must not hang
+// the key. The leader and a second caller parked in the singleflight
+// wait both get an error within the timeout, and the next request for
+// the key runs a fresh compile.
+func TestLeaderPanicReleasesWaiters(t *testing.T) {
+	c := progcache.New(0)
+	tor := topology.MustNew(4, 4)
+	key := progcache.Key("direct", tor, 0)
+	release := make(chan struct{})
+	errs := make(chan error, 2)
+	go func() {
+		_, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+			<-release
+			panic("compile blew up")
+		})
+		errs <- err
+	}()
+	waitFor := func(what string, cond func(progcache.Stats) bool) {
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond(c.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %v", what, c.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor("the leader's miss", func(st progcache.Stats) bool { return st.Misses == 1 })
+	go func() {
+		_, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+			t.Error("waiter ran its own compile")
+			return nil, nil
+		})
+		errs <- err
+	}()
+	waitFor("the waiter to park", func(st progcache.Stats) bool { return st.Coalesced == 1 })
+	close(release)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "panicked") {
+				t.Fatalf("caller %d: err = %v, want the compile panic as an error", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("caller still blocked after the leader's compile panicked")
+		}
+	}
+	var compiles atomic.Int64
+	pg, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+		compiles.Add(1)
+		return compileDirect(tor)
+	})
+	if err != nil || pg == nil {
+		t.Fatalf("request after the panic: %v", err)
+	}
+	if compiles.Load() != 1 {
+		t.Fatalf("request after the panic ran %d compiles, want 1", compiles.Load())
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
+		t.Errorf("stats: %v, want 1 entry / 2 misses", st)
 	}
 }
 

@@ -12,14 +12,15 @@
 //	aape -dims 6x5 -alg virtual      # non-multiple-of-four torus
 //	aape -dims 8x8 -alg direct       # non-combining baseline
 //	aape -dims 16x16 -alg logtime    # minimum-startup baseline
-//	aape -dims 32x32 -alg proposed-sim -parallel=false  # serial reference executor
+//	aape -dims 32x32 -alg proposed-sim -parallel=false  # serial replay
 //	aape -fabric dragonfly -dims 2x4 -alg direct       # D3(2,4) swapped dragonfly
 //	aape -fabric dragonfly -dims 2x4 -alg dimexchange  # port-ordered dragonfly exchange
 //
 // Executor-backed algorithms (direct, ring, factored, logtime,
 // proposed-sim, broadcast, allgather) run through the shared executor,
-// which by default fans out across GOMAXPROCS workers; -parallel=false
-// selects the serial reference path, bit-identical by construction.
+// which by default fans each step's replay out across GOMAXPROCS
+// workers; -parallel=false selects the serial replay, bit-identical by
+// construction.
 package main
 
 import (

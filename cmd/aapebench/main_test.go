@@ -173,8 +173,9 @@ func TestBenchRejectsBadShape(t *testing.T) {
 
 // TestBenchBaseline exercises the -baseline regression gate: comparing
 // a fresh quick sweep against itself must pass and print the delta
-// table, while timing the allocation-heavy uncompiled path against a
-// compiled baseline must make run() fail with the regression error.
+// table, while comparing a sweep against a doctored copy of the
+// baseline whose allocs/op were lowered must make run() fail with the
+// regression error.
 func TestBenchBaseline(t *testing.T) {
 	dir := t.TempDir()
 	base := filepath.Join(dir, "base.json")
@@ -195,15 +196,39 @@ func TestBenchBaseline(t *testing.T) {
 		t.Fatalf("missing delta table header:\n%s", buf.String())
 	}
 
-	// Time the uncompiled path against the compiled baseline: its
-	// thousands of allocs/op dwarf the compiled single digits, exceeding
-	// any sane tolerance + slack, so the gate must trip.
+	// Doctor the baseline down to zero allocs/op and time the parallel
+	// replay on four workers, whose per-step goroutines cost direct's
+	// 63 steps hundreds of allocations per op on any host: far beyond
+	// the tolerance plus benchfmt.AllocSlack, so the gate must trip.
+	f, err := os.Open(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger, err := benchfmt.Decode(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ledger.Entries {
+		ledger.Entries[i].AllocsPerOp = 0
+	}
+	doctored := filepath.Join(dir, "doctored.json")
+	df, err := os.Create(doctored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ledger.Write(df); err != nil {
+		t.Fatal(err)
+	}
+	if err := df.Close(); err != nil {
+		t.Fatal(err)
+	}
 	buf.Reset()
-	args = []string{"-dims", "8x8", "-algs", "proposed,direct", "-quick", "-uncompiled",
-		"-out", filepath.Join(dir, "cur2.json"), "-baseline", base}
-	err := run(args, &buf)
+	args = []string{"-dims", "8x8", "-algs", "proposed,direct", "-quick", "-workers", "4",
+		"-out", filepath.Join(dir, "cur2.json"), "-baseline", doctored}
+	err = run(args, &buf)
 	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("uncompiled-vs-compiled not flagged: err=%v\n%s", err, buf.String())
+		t.Fatalf("allocs above the doctored baseline not flagged: err=%v\n%s", err, buf.String())
 	}
 	if !strings.Contains(buf.String(), "REGRESSED") {
 		t.Fatalf("delta table missing REGRESSED mark:\n%s", buf.String())

@@ -38,7 +38,8 @@ import (
 	"torusx/internal/topology"
 )
 
-// Result is the outcome of a baseline run.
+// Result is the outcome of a baseline run: the replayed buffers and
+// the measured costs. Check delivery with verify.Delivered.
 type Result struct {
 	Torus   *topology.Torus
 	Buffers []*block.Buffer
@@ -228,26 +229,4 @@ func SerializedGroups(dims []int) costmodel.Measure {
 	groupSteps := n * (a1/4 - 1)
 	m.Steps += 3 * groupSteps // each group step becomes 4
 	return m
-}
-
-// Verify checks that a baseline run delivered all blocks, returning a
-// descriptive error otherwise.
-func Verify(r *Result) error {
-	n := r.Torus.Nodes()
-	for i, buf := range r.Buffers {
-		if buf.Len() != n {
-			return fmt.Errorf("baseline: node %d holds %d blocks, want %d", i, buf.Len(), n)
-		}
-		seen := make([]bool, n)
-		for _, b := range buf.View() {
-			if b.Dest != topology.NodeID(i) {
-				return fmt.Errorf("baseline: node %d holds misdelivered %v", i, b)
-			}
-			if seen[b.Origin] {
-				return fmt.Errorf("baseline: node %d duplicate origin %d", i, b.Origin)
-			}
-			seen[b.Origin] = true
-		}
-	}
-	return nil
 }

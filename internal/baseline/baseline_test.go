@@ -7,6 +7,7 @@ import (
 	"torusx/internal/costmodel"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
+	"torusx/internal/verify"
 )
 
 var shapes = [][]int{{4, 4}, {8, 8}, {12, 8}, {6, 5}, {4, 4, 4}, {5, 3, 2}}
@@ -14,7 +15,7 @@ var shapes = [][]int{{4, 4}, {8, 8}, {12, 8}, {6, 5}, {4, 4, 4}, {5, 3, 2}}
 func TestDirectDelivers(t *testing.T) {
 	for _, dims := range shapes {
 		res := Direct(topology.MustNew(dims...))
-		if err := Verify(res); err != nil {
+		if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -62,7 +63,7 @@ func TestDirectMeasure(t *testing.T) {
 func TestRingDelivers(t *testing.T) {
 	for _, dims := range shapes {
 		res := Ring(topology.MustNew(dims...))
-		if err := Verify(res); err != nil {
+		if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -110,15 +111,15 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	res := Direct(topology.MustNew(4, 4))
 	// Misdeliver: node 0 "holds" node 1's buffer.
 	res.Buffers[0] = res.Buffers[1]
-	if err := Verify(res); err == nil {
-		t.Fatal("Verify should fail on misdelivered blocks")
+	if err := verify.Delivered(res.Torus, res.Buffers); err == nil {
+		t.Fatal("verify.Delivered should fail on misdelivered blocks")
 	}
 
 	res = Direct(topology.MustNew(4, 4))
 	// Wrong count: drop a block from node 2.
 	res.Buffers[2].TakeIf(func(b block.Block) bool { return b.Origin == 3 })
-	if err := Verify(res); err == nil {
-		t.Fatal("Verify should fail on missing blocks")
+	if err := verify.Delivered(res.Torus, res.Buffers); err == nil {
+		t.Fatal("verify.Delivered should fail on missing blocks")
 	}
 
 	res = Direct(topology.MustNew(4, 4))
@@ -128,7 +129,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 		t.Fatalf("setup: took %d blocks", len(taken))
 	}
 	res.Buffers[2].Add(block.Block{Origin: 1, Dest: 2})
-	if err := Verify(res); err == nil {
-		t.Fatal("Verify should fail on duplicate origins")
+	if err := verify.Delivered(res.Torus, res.Buffers); err == nil {
+		t.Fatal("verify.Delivered should fail on duplicate origins")
 	}
 }

@@ -106,7 +106,7 @@ func FactoredSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 
 // Factored executes the multiphase exchange through the shared
 // executor.
-func Factored(t *topology.Torus) (*LogTimeResult, error) {
+func Factored(t *topology.Torus) (*Result, error) {
 	sc, err := FactoredSchedule(t)
 	if err != nil {
 		return nil, err
@@ -115,7 +115,7 @@ func Factored(t *topology.Torus) (*LogTimeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LogTimeResult{Torus: t, Buffers: res.Buffers, Measure: res.Measure, Schedule: sc}, nil
+	return &Result{Torus: t, Buffers: res.Buffers, Measure: res.Measure}, nil
 }
 
 // FactoredSteps returns the startup count of Factored on dims:

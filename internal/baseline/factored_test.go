@@ -5,6 +5,7 @@ import (
 
 	"torusx/internal/costmodel"
 	"torusx/internal/topology"
+	"torusx/internal/verify"
 )
 
 func TestPrimeFactors(t *testing.T) {
@@ -36,7 +37,7 @@ func TestFactoredDelivers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := Verify(&Result{Torus: res.Torus, Buffers: res.Buffers}); err != nil {
+		if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -115,7 +116,7 @@ func TestFactoredSize1Dimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(&Result{Torus: res.Torus, Buffers: res.Buffers}); err != nil {
+	if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
 		t.Fatal(err)
 	}
 }

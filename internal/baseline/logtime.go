@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"torusx/internal/block"
-	"torusx/internal/costmodel"
 	"torusx/internal/exec"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
@@ -31,14 +30,6 @@ import (
 // direction share links, so rounds with r >= 2 are not contention-free
 // under wormhole switching (TestLogTimeHasLinkContention); the
 // flit-level cost is measurable with wormhole.FromStep.
-
-// LogTimeResult is the outcome of a LogTime run.
-type LogTimeResult struct {
-	Torus    *topology.Torus
-	Buffers  []*block.Buffer
-	Measure  costmodel.Measure
-	Schedule *schedule.Schedule
-}
 
 // isPow2 reports whether v is a positive power of two.
 func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
@@ -108,7 +99,7 @@ func LogTimeSchedule(t *topology.Torus) (*schedule.Schedule, error) {
 
 // LogTime executes the logarithmic-startup exchange through the shared
 // executor.
-func LogTime(t *topology.Torus) (*LogTimeResult, error) {
+func LogTime(t *topology.Torus) (*Result, error) {
 	sc, err := LogTimeSchedule(t)
 	if err != nil {
 		return nil, err
@@ -117,5 +108,5 @@ func LogTime(t *topology.Torus) (*LogTimeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LogTimeResult{Torus: t, Buffers: res.Buffers, Measure: res.Measure, Schedule: sc}, nil
+	return &Result{Torus: t, Buffers: res.Buffers, Measure: res.Measure}, nil
 }

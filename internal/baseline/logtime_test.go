@@ -6,6 +6,7 @@ import (
 	"torusx/internal/costmodel"
 	"torusx/internal/schedule"
 	"torusx/internal/topology"
+	"torusx/internal/verify"
 )
 
 func TestLogTimeRequiresPow2(t *testing.T) {
@@ -23,7 +24,7 @@ func TestLogTimeDelivers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
-		if err := Verify(&Result{Torus: res.Torus, Buffers: res.Buffers, Measure: res.Measure}); err != nil {
+		if err := verify.Delivered(res.Torus, res.Buffers); err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
 	}
@@ -58,11 +59,11 @@ func TestLogTimeStartupClass(t *testing.T) {
 func TestLogTimeOnePortCompliant(t *testing.T) {
 	// Every half-step must satisfy the one-port model even though it
 	// is not link-contention-free.
-	res, err := LogTime(topology.MustNew(8, 8))
+	sc, err := LogTimeSchedule(topology.MustNew(8, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Schedule.EachStep(func(p *schedule.Phase, si int, st *schedule.Step) {
+	sc.EachStep(func(p *schedule.Phase, si int, st *schedule.Step) {
 		sends := map[topology.NodeID]bool{}
 		recvs := map[topology.NodeID]bool{}
 		for _, tr := range st.Transfers {
@@ -87,15 +88,15 @@ func TestLogTimeHasLinkContention(t *testing.T) {
 	// under the one-port model while the strict per-step checker still
 	// rejects them, and the sharing factor reaches the shift distance.
 	tor := topology.MustNew(16, 16)
-	res, err := LogTime(tor)
+	sc, err := LogTimeSchedule(tor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Schedule.Check(); err != nil {
+	if err := sc.Check(); err != nil {
 		t.Fatalf("shared steps should pass the one-port check: %v", err)
 	}
 	contended, maxSharing := 0, 1
-	res.Schedule.EachStep(func(p *schedule.Phase, si int, st *schedule.Step) {
+	sc.EachStep(func(p *schedule.Phase, si int, st *schedule.Step) {
 		if !st.Shared {
 			return
 		}

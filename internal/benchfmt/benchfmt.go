@@ -70,14 +70,14 @@ type Entry struct {
 	// CompileNs/CompileAllocs time obtaining the compiled program for
 	// the cell (schedule build + exec.Compile, via the serving-layer
 	// cache): the cost a cold request pays once and warm requests
-	// amortize to ~nothing. Absent (zero) in uncompiled sweeps and
-	// pre-cache ledgers.
+	// amortize to ~nothing. Absent (zero) in pre-cache ledgers and in
+	// those of the uncompiled sweeps aapebench once offered.
 	CompileNs     float64 `json:"compile_ns,omitempty"`
 	CompileAllocs int64   `json:"compile_allocs,omitempty"`
 	// CompileParallelNs times exec.Compile alone on a prebuilt schedule
 	// — the lowering the compiler fans out over the worker pool, with
 	// the schedule build excluded — the figure the cold-start gate
-	// bounds. Zero in uncompiled sweeps, in pre-serialization ledgers,
+	// bounds. Zero in uncompiled-sweep and pre-serialization ledgers,
 	// and for builders that emit programs directly.
 	CompileParallelNs float64 `json:"compile_parallel_ns,omitempty"`
 	// Tier2LoadNs times loading the cell's program from a warm
@@ -100,7 +100,7 @@ type Entry struct {
 	// per op on the mode it ran (Program.BytesMoved): deterministic —
 	// it depends only on the compiled plan, never the host — and gated
 	// by Compare so a planner change that silently starts copying more
-	// fails the bench-regression job. Zero in uncompiled sweeps and
+	// fails the bench-regression job. Zero in uncompiled-sweep and
 	// pre-descriptor ledgers, which decode unchanged.
 	BytesMoved int64 `json:"bytes_moved,omitempty"`
 	// RewriteRatio is the fraction of payload transfers the descriptor

@@ -113,13 +113,13 @@ func TestProgramCodecRoundTripStable(t *testing.T) {
 
 // TestDecodedProgramDifferentialReplay: a program decoded from its
 // binary form must replay exactly like the freshly compiled one — and
-// like the uncompiled serial reference — on the serial path, the
-// parallel path and a reused arena, with identical delivery matrices
-// and identical canonical telemetry streams.
+// like the Reference oracle — on the serial path, the parallel path
+// and a reused arena, with identical delivery matrices and identical
+// canonical telemetry streams.
 func TestDecodedProgramDifferentialReplay(t *testing.T) {
 	for name, sc := range codecPrograms(t) {
 		t.Run(name, func(t *testing.T) {
-			ref, err := exec.Run(sc, exec.Options{Serial: true})
+			ref, err := exec.Reference(sc, exec.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

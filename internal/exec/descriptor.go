@@ -41,8 +41,8 @@ import (
 // The plan is built by a second compile pass (parallel over nodes)
 // reusing pass 1's per-node event runs, priced per transfer, and the
 // winner recorded in the per-phase rewrite/copy counters. Replay
-// through the plan is differentially tested against the uncompiled
-// serial executor on every registry (fabric, algorithm) pair.
+// through the plan is differentially tested against the Reference
+// executor on every registry (fabric, algorithm) pair.
 
 // xdesc is one strided datatype descriptor: count windows of blocklen
 // consecutive log slots, window starts stride apart. count == 1 is a
@@ -145,20 +145,30 @@ func coalesceDescs(dst []xdesc, pos []int32) []xdesc {
 // written before the compaction reads them through the recorded
 // counts), so reuse needs no zeroing.
 type descScratch struct {
-	lastMove  []int32 // block id -> last moving transfer ordinal
-	finalRank []int32 // block id -> rank within its node's deliveries
-	direct    []uint8 // block id -> delivered by a last-hop gather
-	isLast    []uint8 // ordinal -> final mover of its whole payload
-	survAll   []int32 // deliveries bucketed by node (finalBase offsets)
-	descWC    []xdesc // worst-case transfer descriptors at payload offsets
-	dInsLocal []int32 // ordinal -> node-local insert position, -1 elided
-	dDescCnt  []int32 // ordinal -> descriptor count in descWC
-	tailFWC   []xdesc // worst-case tailFull descriptors at finalBase offsets
-	tailRWC   []xdesc // worst-case tailResid descriptors at finalBase offsets
+	lastMove  []int32   // block id -> last moving transfer ordinal
+	finalRank []int32   // block id -> rank within its node's deliveries
+	direct    []uint8   // block id -> delivered by a last-hop gather
+	isLast    []uint8   // ordinal -> final mover of its whole payload
+	survAll   []int32   // deliveries bucketed by node (finalBase offsets)
+	nodeDescs [][]xdesc // per source node: its transfers' descriptors, in event order
+	descHead  []xdesc   // the lists' shared initial backing: one slot per extraction
+	plans     []tplan   // ordinal -> the transfer's node-local plan
+	tailFWC   []xdesc   // worst-case tailFull descriptors at finalBase offsets
+	tailRWC   []xdesc   // worst-case tailResid descriptors at finalBase offsets
 	tailSegWC []tailSeg
 }
 
 var descScratchPool = sync.Pool{New: func() any { return new(descScratch) }}
+
+// tplan is one payload transfer's node-local plan from the per-node
+// walks: its insert position in the destination's log region (-1 when
+// elided) and its descriptor window in nodeDescs[src]. One struct per
+// ordinal puts the fields the walks write and the compaction reads for
+// a transfer on one cache line instead of three.
+type tplan struct {
+	insLocal         int32
+	descOff, descCnt int32
+}
 
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
@@ -203,14 +213,16 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	ds.direct = direct
 	isLast := growU8(ds.isLast, numT)
 	ds.isLast = isLast
-	dInsLocal := growI32(ds.dInsLocal, numT)
-	ds.dInsLocal = dInsLocal
-	dDescCnt := growI32(ds.dDescCnt, numT)
-	ds.dDescCnt = dDescCnt
+	if cap(ds.plans) < numT {
+		ds.plans = make([]tplan, numT)
+	}
+	plans := ds.plans[:numT]
 	survAll := growI32(ds.survAll, numDeliver)
 	ds.survAll = survAll
-	descWC := growDesc(ds.descWC, len(p.payloadBacking))
-	ds.descWC = descWC
+	if cap(ds.nodeDescs) < n {
+		ds.nodeDescs = make([][]xdesc, n)
+	}
+	nodeDescs := ds.nodeDescs[:n]
 	tailFWC := growDesc(ds.tailFWC, numDeliver)
 	ds.tailFWC = tailFWC
 	tailRWC := growDesc(ds.tailRWC, numDeliver)
@@ -249,6 +261,9 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			g++
 		}
 	}
+	// extOff counts each node's extractions (one per payload transfer it
+	// sends), the floor of its descriptor count.
+	extOff := make([]int32, n+1)
 	g = 0
 	for si := range p.steps {
 		ts := p.steps[si].transfers
@@ -256,6 +271,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			pt := &ts[ti]
 			isLast[g] = 0
 			if pt.payLen > 0 {
+				extOff[pt.src+1]++
 				all := uint8(1)
 				for _, id := range p.payloadBacking[pt.payOff : pt.payOff+pt.payLen] {
 					if lastMove[id] != int32(g) {
@@ -286,6 +302,21 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 		}
 	}
 
+	// Each node's descriptor list starts in its own window of one shared
+	// backing, with room for one descriptor per extraction; a node whose
+	// extractions need more grows its list past the window (the full
+	// slice expression keeps an append from spilling into the next
+	// node's window). The lists grow with the descriptors emitted, not
+	// with the payload volume.
+	for v := 0; v < n; v++ {
+		extOff[v+1] += extOff[v]
+	}
+	descHead := growDesc(ds.descHead, int(extOff[n]))
+	ds.descHead = descHead
+	for v := 0; v < n; v++ {
+		nodeDescs[v] = descHead[extOff[v]:extOff[v]:extOff[v+1]]
+	}
+
 	// Parallel pass over nodes: replay each node's event run once more,
 	// this time assigning append-only log positions, recognizing each
 	// extraction's positions as strided descriptors, pricing ρ elision,
@@ -308,6 +339,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 		var physBuf []int32
 		var runs []xdesc
 		for v := lo; v < hi; v++ {
+			descs := nodeDescs[v]
 			cursor := 0
 			for _, id := range initIDs[initOff[v]:initOff[v+1]] {
 				idPos[id] = int32(cursor)
@@ -335,8 +367,7 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 						// read them where they sit. A last-hop verdict from
 						// the pre-pass no longer applies — nothing gathers
 						// these blocks into the delivery buffer directly.
-						dInsLocal[tg] = -1
-						dDescCnt[tg] = 0
+						plans[tg].insLocal, plans[tg].descCnt = -1, 0
 						if isLast[tg] != 0 {
 							for _, id := range ord {
 								direct[id] = 0
@@ -344,11 +375,11 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 						}
 						continue
 					}
-					copy(descWC[op.payOff:], runs)
-					dDescCnt[tg] = int32(len(runs))
+					plans[tg].descOff, plans[tg].descCnt = int32(len(descs)), int32(len(runs))
+					descs = append(descs, runs...)
 				}
 				if gr&opInsert != 0 {
-					dInsLocal[tg] = int32(cursor)
+					plans[tg].insLocal = int32(cursor)
 					for _, id := range ord {
 						idPos[id] = int32(cursor)
 						logIDs[cursor] = id
@@ -357,9 +388,10 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 				}
 			}
 			nodeLog[v] = int32(cursor)
+			nodeDescs[v] = descs
 
 			// Tail plans over the node's final deliveries, in final
-			// arrival order (== the uncompiled executor's buffer order,
+			// arrival order (== the Reference executor's buffer order,
 			// so both deliver identically ordered buffers).
 			seg := survAll[finalBase[v]:finalBase[v+1]]
 			sort.Slice(seg, func(a, b int) bool { return uint32(hs[seg[a]]) < uint32(hs[seg[b]]) })
@@ -428,8 +460,8 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 	for si := range p.steps {
 		ts := p.steps[si].transfers
 		for ti := range ts {
-			if ts[ti].payLen > 0 && dInsLocal[g] >= 0 {
-				total += int(dDescCnt[g])
+			if ts[ti].payLen > 0 && plans[g].insLocal >= 0 {
+				total += int(plans[g].descCnt)
 			}
 			g++
 		}
@@ -452,7 +484,8 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 				g++
 				continue
 			}
-			if dInsLocal[g] < 0 {
+			pl := plans[g]
+			if pl.insLocal < 0 {
 				*dt = dtransfer{insPos: -1, finalPos: -1}
 				p.phaseRewrites[ps.phaseIndex]++
 				g++
@@ -460,12 +493,12 @@ func (p *Program) planDescriptors(opOff []int32, opBacking []opRec, ordOff, ordS
 			}
 			p.phaseCopies[ps.phaseIndex]++
 			off := int32(len(p.descBacking))
-			for _, d := range descWC[pt.payOff : pt.payOff+dDescCnt[g]] {
+			for _, d := range nodeDescs[pt.src][pl.descOff : pl.descOff+pl.descCnt] {
 				d.start += descBase[pt.src]
 				p.descBacking = append(p.descBacking, d)
 			}
-			dt.descOff, dt.descLen = off, dDescCnt[g]
-			dt.insPos = descBase[pt.dst] + dInsLocal[g]
+			dt.descOff, dt.descLen = off, pl.descCnt
+			dt.insPos = descBase[pt.dst] + pl.insLocal
 			dt.finalPos = -1
 			if isLast[g] != 0 {
 				dt.finalPos = finalBase[pt.dst] + finalRank[firstArr[g]]

@@ -1,9 +1,9 @@
 // The descriptor-replay differential layer: a compiled program's
 // descriptor plan — the ρ-rewrite elisions, the strided gathers, the
 // direct last-hop deliveries — must be observably indistinguishable
-// from the uncompiled serial reference executor, on every (fabric,
-// algorithm) pair the registry supports, serially and in parallel, and
-// through ReplayInto's caller-owned destination buffers.
+// from the Reference oracle, on every (fabric, algorithm) pair the
+// registry supports, serially and in parallel, and through
+// ReplayInto's caller-owned destination buffers.
 package exec_test
 
 import (
@@ -61,10 +61,9 @@ func sameIDs(t *testing.T, label string, want, got []int32) {
 // TestDescriptorDifferentialReplay is the descriptor plan's contract:
 // on every supported (fabric, algorithm) registry pair, descriptor
 // replay — serial and parallel — must deliver byte-identically to the
-// uncompiled serial reference (exec.Run with Options.Serial), the plan
-// must pass its static invariants, and ReplayInto must write the same
-// ids into a caller-owned buffer. Runs under -race in CI's
-// differential job.
+// Reference oracle, the plan must pass its static invariants, and
+// ReplayInto must write the same ids into a caller-owned buffer. Runs
+// under -race in CI's differential job.
 func TestDescriptorDifferentialReplay(t *testing.T) {
 	for _, fab := range descriptorFabrics() {
 		for _, name := range algorithm.Supporting(fab) {
@@ -77,7 +76,7 @@ func TestDescriptorDifferentialReplay(t *testing.T) {
 				if err != nil {
 					t.Skipf("builder: %v", err)
 				}
-				ref, err := exec.Run(sc, exec.Options{Serial: true})
+				ref, err := exec.Reference(sc, exec.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,11 +211,11 @@ func rhoRingSchedule(t *testing.T) *schedule.Schedule {
 // schedule with explicit rearrangement self-transfers, the planner
 // must elide every one of them (recording the wins in the phase
 // ledger), descriptor replay must still deliver byte-identically to
-// the uncompiled serial reference on every path, and the elided ρ
-// phase must copy no bytes at all.
+// the Reference oracle on every path, and the elided ρ phase must copy
+// no bytes at all.
 func TestDescriptorRhoElision(t *testing.T) {
 	sc := rhoRingSchedule(t)
-	ref, err := exec.Run(sc, exec.Options{Serial: true})
+	ref, err := exec.Reference(sc, exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

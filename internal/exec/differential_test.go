@@ -1,9 +1,9 @@
-// The differential test layer: the parallel executor must be
-// indistinguishable from the serial reference on every registered
-// algorithm — identical Measure counters, identical MaxSharing,
-// identical delivery matrices (same blocks, same buffer order) —
-// regardless of worker count. This is the contract that lets the
-// parallel path be the default everywhere.
+// The differential test layer: the one-shot exec.Run — Compile, then
+// a parallel replay of the Program — must be indistinguishable from
+// the Reference oracle on every registered algorithm: identical
+// Measure counters, identical MaxSharing, identical delivery matrices
+// (same blocks, same buffer order), regardless of worker count. This
+// is the contract that lets every caller run on the compiled executor.
 package exec_test
 
 import (
@@ -22,37 +22,37 @@ import (
 // sweep: square, cubic, and rectangular.
 var differentialShapes = [][]int{{8, 8}, {4, 4, 4}, {12, 8}}
 
-// runBoth executes sc serially and in parallel with the given worker
-// count and reports both outcomes.
-func runBoth(t *testing.T, sc *schedule.Schedule, workers int) (serial, parallel *exec.Result) {
+// runBoth executes sc on the Reference oracle and through exec.Run
+// with the given worker count, and reports both outcomes.
+func runBoth(t *testing.T, sc *schedule.Schedule, workers int) (ref, got *exec.Result) {
 	t.Helper()
-	ser, serErr := exec.Run(sc, exec.Options{Serial: true})
-	par, parErr := exec.Run(sc, exec.Options{Workers: workers})
-	if (serErr == nil) != (parErr == nil) {
-		t.Fatalf("serial err = %v, parallel err = %v", serErr, parErr)
+	ref, refErr := exec.Reference(sc, exec.Options{})
+	got, err := exec.Run(sc, exec.Options{Workers: workers})
+	if (refErr == nil) != (err == nil) {
+		t.Fatalf("reference err = %v, run err = %v", refErr, err)
 	}
-	if serErr != nil {
+	if refErr != nil {
 		return nil, nil
 	}
-	return ser, par
+	return ref, got
 }
 
 // sameBuffers asserts the two delivery matrices are identical: same
 // nodes, same blocks, same order.
-func sameBuffers(t *testing.T, ser, par []*block.Buffer) {
+func sameBuffers(t *testing.T, ref, got []*block.Buffer) {
 	t.Helper()
-	if (ser == nil) != (par == nil) {
-		t.Fatalf("serial buffers nil=%v, parallel nil=%v", ser == nil, par == nil)
+	if (ref == nil) != (got == nil) {
+		t.Fatalf("reference buffers nil=%v, got nil=%v", ref == nil, got == nil)
 	}
-	if ser == nil {
+	if ref == nil {
 		return
 	}
-	if len(ser) != len(par) {
-		t.Fatalf("buffer count %d vs %d", len(ser), len(par))
+	if len(ref) != len(got) {
+		t.Fatalf("buffer count %d vs %d", len(ref), len(got))
 	}
-	for i := range ser {
-		if !reflect.DeepEqual(ser[i].View(), par[i].View()) {
-			t.Fatalf("node %d delivery differs:\nserial:   %v\nparallel: %v", i, ser[i].View(), par[i].View())
+	for i := range ref {
+		if !reflect.DeepEqual(ref[i].View(), got[i].View()) {
+			t.Fatalf("node %d delivery differs:\nreference: %v\ngot:       %v", i, ref[i].View(), got[i].View())
 		}
 	}
 }
@@ -60,7 +60,7 @@ func sameBuffers(t *testing.T, ser, par []*block.Buffer) {
 // TestDifferentialRegistryAlgorithms is the headline differential
 // test: every Builder in the registry, on 8x8, 4x4x4 and 12x8, must
 // produce identical Measure counters and identical delivery matrices
-// under serial and parallel execution.
+// under the Reference oracle and exec.Run.
 func TestDifferentialRegistryAlgorithms(t *testing.T) {
 	for _, name := range algorithm.Names() {
 		for _, dims := range differentialShapes {
@@ -77,28 +77,28 @@ func TestDifferentialRegistryAlgorithms(t *testing.T) {
 					// same builder error.
 					t.Skipf("builder: %v", err)
 				}
-				ser, par := runBoth(t, sc, 0)
-				if ser == nil {
+				ref, got := runBoth(t, sc, 0)
+				if ref == nil {
 					return
 				}
-				if ser.Measure != par.Measure {
-					t.Errorf("Measure differs: serial %+v, parallel %+v", ser.Measure, par.Measure)
+				if ref.Measure != got.Measure {
+					t.Errorf("Measure differs: reference %+v, run %+v", ref.Measure, got.Measure)
 				}
-				if ser.MaxSharing != par.MaxSharing {
-					t.Errorf("MaxSharing differs: %d vs %d", ser.MaxSharing, par.MaxSharing)
+				if ref.MaxSharing != got.MaxSharing {
+					t.Errorf("MaxSharing differs: %d vs %d", ref.MaxSharing, got.MaxSharing)
 				}
-				if ser.Replayed != par.Replayed {
-					t.Errorf("Replayed differs: %v vs %v", ser.Replayed, par.Replayed)
+				if ref.Replayed != got.Replayed {
+					t.Errorf("Replayed differs: %v vs %v", ref.Replayed, got.Replayed)
 				}
-				sameBuffers(t, ser.Buffers, par.Buffers)
+				sameBuffers(t, ref.Buffers, got.Buffers)
 			})
 		}
 	}
 }
 
-// TestDifferentialWorkerCounts shakes the partitioning: the parallel
-// result must be invariant under the worker count, including widths
-// that do not divide the transfer counts.
+// TestDifferentialWorkerCounts shakes the partitioning: exec.Run's
+// parallel replay must match the Reference under every worker count,
+// including widths that do not divide the transfer counts.
 func TestDifferentialWorkerCounts(t *testing.T) {
 	tor := topology.MustNew(8, 8)
 	for _, name := range []string{"proposed-sim", "direct", "factored"} {
@@ -110,7 +110,7 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := exec.Run(sc, exec.Options{Serial: true})
+		ref, err := exec.Reference(sc, exec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestDifferentialWorkerCounts(t *testing.T) {
 
 // TestDifferentialSparseTraffic covers the declared-traffic replay
 // path: a sparse matrix routed through the proposed schedule must
-// deliver identically under both executors.
+// deliver identically under the Reference and exec.Run.
 func TestDifferentialSparseTraffic(t *testing.T) {
 	tor := topology.MustNew(8, 8)
 	b, err := algorithm.For("proposed-sim")
@@ -144,23 +144,22 @@ func TestDifferentialSparseTraffic(t *testing.T) {
 	// Full traffic is implied by nil; this exercises the explicit
 	// Traffic branch with the same matrix.
 	traffic := exec.FullTraffic(tor)
-	ser, err := exec.Run(sc, exec.Options{Serial: true, Traffic: traffic})
+	ref, err := exec.Reference(sc, exec.Options{Traffic: traffic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := exec.Run(sc, exec.Options{Traffic: traffic, Workers: 3})
+	got, err := exec.Run(sc, exec.Options{Traffic: traffic, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ser.Measure != par.Measure {
-		t.Errorf("Measure differs: %+v vs %+v", ser.Measure, par.Measure)
+	if ref.Measure != got.Measure {
+		t.Errorf("Measure differs: %+v vs %+v", ref.Measure, got.Measure)
 	}
-	sameBuffers(t, ser.Buffers, par.Buffers)
+	sameBuffers(t, ref.Buffers, got.Buffers)
 }
 
 // TestDifferentialRejectsSameSchedules: invalid schedules must be
-// rejected by both paths (the specific error may name a different
-// step, but acceptance must agree).
+// rejected by both the Reference and exec.Run.
 func TestDifferentialRejectsSameSchedules(t *testing.T) {
 	tor := topology.MustNew(4, 4)
 	bad := &schedule.Schedule{Fabric: tor, Phases: []schedule.Phase{{
@@ -170,10 +169,10 @@ func TestDifferentialRejectsSameSchedules(t *testing.T) {
 			{Src: 0, Dst: 2, Dim: 1, Dir: topology.Pos, Hops: 1, Blocks: 1}, // one-port: node 0 sends twice
 		}}},
 	}}}
-	_, serErr := exec.Run(bad, exec.Options{Serial: true})
-	_, parErr := exec.Run(bad, exec.Options{})
-	if serErr == nil || parErr == nil {
-		t.Fatalf("one-port violation accepted: serial=%v parallel=%v", serErr, parErr)
+	_, refErr := exec.Reference(bad, exec.Options{})
+	_, err := exec.Run(bad, exec.Options{})
+	if refErr == nil || err == nil {
+		t.Fatalf("one-port violation accepted: reference=%v run=%v", refErr, err)
 	}
 }
 

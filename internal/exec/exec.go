@@ -7,19 +7,23 @@
 //     declared Shared, wormhole contention-freedom (link-disjointness,
 //     expanding every transfer's route hop by hop);
 //   - replays the block movement of payload-annotated schedules and
-//     verifies delivery against the declared traffic matrix via
-//     internal/verify;
+//     verifies delivery against the declared traffic matrix;
 //   - derives a costmodel.Measure uniformly: startups from the step
 //     count, transmission from the per-step maximum message size
 //     multiplied by the step's link-sharing serialization factor
 //     (Shared steps), propagation from the per-step maximum route
 //     length, and rearrangement from the per-phase annotations.
 //
-// Before this layer existed only the proposed algorithm got
-// contention/one-port checking and uniform measurement; the baselines
-// hand-rolled their own loops and Direct/Ring skipped wormhole
-// link-contention modelling entirely. Routing every algorithm through
-// one executor makes the paper's Table 2 comparison apples-to-apples.
+// There is one executor: Compile validates a schedule once and lowers
+// it to a Program, whose runs replay a strided-descriptor plan (see
+// program.go and descriptor.go). Run is the one-shot form, Compile
+// followed by Program.Run, so the baselines, the collectives and the
+// proposed exchange are all checked and measured by the same code —
+// which is what makes the paper's Table 2 comparison apples-to-apples.
+//
+// Reference is the slow serial oracle: it walks the schedule step by
+// step over block.Buffers, with none of Compile's lowering. Only tests
+// call it; the differential tests hold every compiled replay to it.
 package exec
 
 import (
@@ -43,14 +47,15 @@ type Options struct {
 	// SkipChecks disables the per-step one-port and contention
 	// validation (for schedules already checked by their builder).
 	SkipChecks bool
-	// Serial forces the reference single-goroutine path. The default
-	// (false) fans structural checks out across steps and payload
-	// replay across senders/receivers on a par.Workers()-wide pool; the
-	// two paths are differentially tested to produce bit-identical
-	// Measure counters and delivery matrices.
+	// Serial selects a compiled program's schedule-order replay on the
+	// calling goroutine. The default (false) fans each step's gathers
+	// out by sender on a par.Workers()-wide pool, and rejects schedules
+	// that forward a block within the step that delivered it. Both
+	// replays deliver identical buffers. Reference ignores it.
 	Serial bool
-	// Workers overrides the fan-out width of the parallel path
-	// (0 = runtime.GOMAXPROCS). Ignored when Serial is set.
+	// Workers overrides the fan-out width of the parallel replay
+	// (0 = runtime.GOMAXPROCS). Ignored when Serial is set, and by
+	// Reference.
 	Workers int
 	// Telemetry receives the run's span events, counters and per-link
 	// gauges (see internal/telemetry). Nil disables telemetry entirely:
@@ -81,33 +86,33 @@ type Result struct {
 	MaxSharing int
 	// BytesMoved is the bytes a compiled replay physically copied
 	// through the arena: its descriptor gathers, ρ rewrites costing
-	// nothing. Zero for uncompiled and structural-only runs, which don't
+	// nothing. Zero for Reference and structural-only runs, which don't
 	// measure it.
 	BytesMoved int64
 }
 
-// Run executes sc: validates every step, replays block movement when
-// the schedule carries payloads, verifies delivery, and derives the
-// cost measure. It is the one execution path behind torusx.Compare and
-// the -alg modes of the command-line tools. By default the structural
-// checks fan out across steps and the payload replay across
-// senders/receivers (see runParallel); Options.Serial selects the
-// single-goroutine reference path. Both paths produce bit-identical
-// results on valid schedules.
+// Run executes sc once: Compile(sc, opt), then Program.Run(opt). It
+// validates every step, replays block movement when the schedule
+// carries payloads, verifies delivery, and derives the cost measure.
+// Callers that run one schedule many times compile it once and replay
+// the Program instead.
 func Run(sc *schedule.Schedule, opt Options) (*Result, error) {
+	pg, err := Compile(sc, opt)
+	if err != nil {
+		return nil, err
+	}
+	return pg.Run(opt)
+}
+
+// Reference is the serial reference executor and the differential
+// oracle of the compiled one: one goroutine, steps walked strictly in
+// order, each transfer's payload moved between block.Buffers by
+// membership test. It honours Traffic, SkipChecks and Telemetry and
+// ignores Serial, Workers and Request. Only tests call it.
+func Reference(sc *schedule.Schedule, opt Options) (*Result, error) {
 	if sc == nil || sc.Fabric == nil {
 		return nil, fmt.Errorf("exec: nil schedule")
 	}
-	if opt.Serial {
-		return runSerial(sc, opt)
-	}
-	return runParallel(sc, opt)
-}
-
-// runSerial is the reference implementation: one goroutine, steps
-// walked strictly in order. The parallel path is differentially tested
-// against it.
-func runSerial(sc *schedule.Schedule, opt Options) (*Result, error) {
 	f := sc.Fabric
 	res := &Result{Schedule: sc, MaxSharing: 1}
 	// Replay whenever any transfer carries payload: a partially
@@ -243,7 +248,7 @@ func runSerial(sc *schedule.Schedule, opt Options) (*Result, error) {
 		res.Buffers = bufs
 	}
 	if opt.Telemetry.Enabled() {
-		emitRun(opt.Telemetry, sc, res, nil, nil)
+		emitRun(opt.Telemetry, sc, res, nil)
 	}
 	return res, nil
 }

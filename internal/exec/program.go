@@ -20,9 +20,9 @@ import (
 // strided-descriptor replay plan derived from a compile-time reference
 // walk — so that replaying the same schedule again costs no
 // re-validation, no route walking, no hashing and (with a reused Arena)
-// no allocation. Run-once callers get the same behaviour as the
-// uncompiled paths; replay-many callers (benchmark sweeps,
-// bandwidth-model parameter scans) stop paying the compile cost per run.
+// no allocation. Run-once callers (Run) compile and replay once;
+// replay-many callers (benchmark sweeps, bandwidth-model parameter
+// scans) stop paying the compile cost per run.
 //
 // Replay is descriptor-driven: the compiled executor's replay is fully
 // deterministic, so Compile fixes every block's physical position in an
@@ -299,7 +299,7 @@ func (p *Program) linksOf(pt *ptransfer) []int32 {
 // opt.SkipChecks), payload/Blocks coherence, the full sender-holds
 // replay chain and final delivery against the declared traffic matrix
 // (opt.Traffic, nil meaning all-to-all) — and lowers it to a Program.
-// A schedule the uncompiled executor would reject fails here, at
+// A schedule the Reference executor would reject fails here, at
 // compile time; a compiled program's runs cannot fail on a schedule
 // left unmodified. Options.Serial, Workers and Telemetry are run-time
 // choices and are ignored by Compile.
@@ -793,7 +793,7 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("exec: telemetry on decoded program: %w", p.schedErr)
 		}
 		res.Schedule = sc
-		emitRun(opt.Telemetry, sc, res, nil, p)
+		emitRun(opt.Telemetry, sc, res, p)
 	}
 	return res, nil
 }
@@ -877,8 +877,7 @@ func (a *Arena) replayDescSerial(dst []int32) {
 // window no other transfer of the step touches, so one barrier per
 // step enforces synchronous-step semantics. Schedules that forward a
 // block within the step that delivered it were flagged at compile time
-// and are rejected here, matching the uncompiled parallel path's
-// refusal.
+// and are rejected here.
 func (a *Arena) replayDescParallel(workers int, dst []int32) error {
 	p := a.prog
 	if err := p.parallelErr; err != nil {

@@ -1,6 +1,6 @@
 // Differential coverage for the compiled fast path: a compiled
 // Program's replay — serial or parallel, fresh arena or reused — must
-// be indistinguishable from the uncompiled serial reference: identical
+// be indistinguishable from the Reference oracle: identical
 // Measure counters, identical MaxSharing, identical delivery matrices
 // (same blocks, same buffer order), identical canonical telemetry
 // streams. This is the contract that lets the command-line tools and
@@ -25,7 +25,7 @@ import (
 // TestCompiledDifferentialRegistryAlgorithms: every Builder in the
 // registry, on 8x8, 4x4x4 and 12x8, compiled once and replayed on the
 // serial path, the parallel path, and a reused arena, must match the
-// uncompiled serial reference exactly.
+// Reference oracle exactly.
 func TestCompiledDifferentialRegistryAlgorithms(t *testing.T) {
 	for _, name := range algorithm.Names() {
 		for _, dims := range differentialShapes {
@@ -39,7 +39,7 @@ func TestCompiledDifferentialRegistryAlgorithms(t *testing.T) {
 				if err != nil {
 					t.Skipf("builder: %v", err)
 				}
-				ref, err := exec.Run(sc, exec.Options{Serial: true})
+				ref, err := exec.Reference(sc, exec.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,7 +97,7 @@ func TestCompiledDifferentialWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := exec.Run(sc, exec.Options{Serial: true})
+		ref, err := exec.Reference(sc, exec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestCompiledDifferentialWorkerCounts(t *testing.T) {
 }
 
 // TestCompiledDifferentialTelemetry: a compiled run's telemetry stream
-// must be canonically identical to the uncompiled serial reference's —
+// must be canonically identical to the Reference oracle's —
 // the post-pass reads precomputed sharing factors and dense link ids,
 // and this pins that those shortcuts change nothing observable.
 func TestCompiledDifferentialTelemetry(t *testing.T) {
@@ -129,7 +129,7 @@ func TestCompiledDifferentialTelemetry(t *testing.T) {
 		for _, dims := range telemetryShapes {
 			dims := dims
 			t.Run(alg+"/"+topology.MustNew(dims...).String(), func(t *testing.T) {
-				serial := recordRun(t, alg, dims, true, 0)
+				serial := recordRun(t, alg, dims, true, exec.Options{})
 				if len(serial) == 0 {
 					t.Fatal("serial run emitted nothing")
 				}
@@ -175,7 +175,7 @@ func TestCompiledDifferentialTelemetry(t *testing.T) {
 // dropCompiledOnlyEvents filters the counters only compiled programs
 // emit — the descriptor plan's per-phase rewrite/copy ledger and the
 // bytes-moved total — so a compiled stream compares against the
-// uncompiled reference on the events both paths produce.
+// Reference on the events both paths produce.
 func dropCompiledOnlyEvents(evs []telemetry.Event) []telemetry.Event {
 	out := evs[:0]
 	for _, ev := range evs {
@@ -188,7 +188,7 @@ func dropCompiledOnlyEvents(evs []telemetry.Event) []telemetry.Event {
 	return out
 }
 
-// TestCompiledDifferentialRejects: schedules the uncompiled executor
+// TestCompiledDifferentialRejects: schedules the Reference executor
 // rejects must be rejected by Compile, with the same error type and
 // message (both reuse schedule's error types and CheckStep's check
 // order).
@@ -217,7 +217,7 @@ func TestCompiledDifferentialRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, refErr := exec.Run(tc.sc, exec.Options{Serial: true})
+			_, refErr := exec.Reference(tc.sc, exec.Options{})
 			_, cErr := exec.Compile(tc.sc, exec.Options{})
 			if refErr == nil || cErr == nil {
 				t.Fatalf("accepted: reference=%v compiled=%v", refErr, cErr)
@@ -238,7 +238,7 @@ func TestCompiledDifferentialRejects(t *testing.T) {
 // schedule that leaves a node with the wrong block count, or with the
 // right count but a block addressed elsewhere, fails to compile with
 // the count or misdelivery error — the lowest node first and, within a
-// node, its earliest-arriving stray block. The uncompiled serial
+// node, its earliest-arriving stray block. The Reference
 // reference rejects both schedules too.
 func TestCompileDeliveryRejects(t *testing.T) {
 	tor := topology.MustNew(4)
@@ -269,8 +269,8 @@ func TestCompileDeliveryRejects(t *testing.T) {
 			if err == nil || err.Error() != tc.want {
 				t.Fatalf("Compile error %v, want %q", err, tc.want)
 			}
-			if _, err := exec.Run(sc, exec.Options{Serial: true, Traffic: tc.traffic}); err == nil {
-				t.Fatal("uncompiled serial reference accepted the schedule")
+			if _, err := exec.Reference(sc, exec.Options{Traffic: tc.traffic}); err == nil {
+				t.Fatal("Reference accepted the schedule")
 			}
 		})
 	}
@@ -288,7 +288,7 @@ func TestCompiledSparseTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	traffic := exec.FullTraffic(tor)
-	ref, err := exec.Run(sc, exec.Options{Serial: true, Traffic: traffic})
+	ref, err := exec.Reference(sc, exec.Options{Traffic: traffic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,9 +310,9 @@ func TestCompiledSparseTraffic(t *testing.T) {
 // schedule where a transfer forwards a block delivered earlier in the
 // same step: node 0 sends B[0,2] to node 1, and node 1 forwards it to
 // node 2 within one step. Serial interleaved semantics accept it; the
-// two-barrier parallel replay cannot express it, so both the compiled
-// and uncompiled parallel paths must reject — the compiled one at
-// replay time from a verdict precomputed during Compile.
+// two-barrier parallel replay cannot express it, so the parallel
+// replay must reject it at replay time, from a verdict precomputed
+// during Compile, while the serial replay and the Reference accept it.
 func TestIntraStepForwardingVerdicts(t *testing.T) {
 	tor := topology.MustNew(4)
 	b02 := block.Block{Origin: 0, Dest: 2}
@@ -353,11 +353,15 @@ func TestIntraStepForwardingVerdicts(t *testing.T) {
 		t.Errorf("compiled serial run after parallel rejection: %v", err)
 	}
 
-	// The uncompiled executor agrees on both verdicts.
+	// The one-shot exec.Run gives the same verdicts, and the Reference
+	// oracle, with its serial semantics, accepts the schedule.
 	if _, err := exec.Run(sc, exec.Options{Traffic: traffic, Serial: true}); err != nil {
-		t.Errorf("uncompiled serial run: %v", err)
+		t.Errorf("serial exec.Run: %v", err)
 	}
 	if _, err := exec.Run(sc, exec.Options{Traffic: traffic}); err == nil {
-		t.Error("uncompiled parallel run accepted an intra-step forward")
+		t.Error("parallel exec.Run accepted an intra-step forward")
+	}
+	if _, err := exec.Reference(sc, exec.Options{Traffic: traffic}); err != nil {
+		t.Errorf("Reference: %v", err)
 	}
 }

@@ -5,15 +5,13 @@ import (
 	"torusx/internal/telemetry"
 )
 
-// Telemetry emission. All executor paths — serial, parallel and
-// compiled — emit from this single serial post-pass, which walks the
-// schedule in phase/step/transfer order after the run has validated:
-// every path therefore produces identical streams by construction (the
-// only divergence is the diagnostic Worker field, which records which
-// pool worker checked each step and which telemetry.Canonical clears).
-// Emission runs only when the run asked for it — the hot path pays one
-// Recorder.Enabled branch and nothing else, enforced by the overhead
-// guard in telemetry_guard_test.go.
+// Telemetry emission. The compiled executor (serial or parallel
+// replay) and the Reference oracle both emit from this single serial
+// post-pass, which walks the schedule in phase/step/transfer order
+// after the run has validated: every path therefore produces identical
+// streams by construction. Emission runs only when the run asked for
+// it — the hot path pays one Recorder.Enabled branch and nothing else,
+// enforced by the overhead guard in telemetry_guard_test.go.
 //
 // When the run came from a compiled Program, pg is non-nil and the
 // post-pass reads the precomputed per-step sharing factors and dense
@@ -28,7 +26,7 @@ import (
 // transfer's slice spans its own ts + tc·blocks·m + tl·hops inside its
 // step (unserialized — per-transfer attribution reports the message's
 // own cost; the step span carries the sharing-serialized total).
-func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWorkers []int, pg *Program) {
+func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, pg *Program) {
 	p := rec.Params
 	f := sc.Fabric
 	m := float64(p.M)
@@ -41,7 +39,7 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 	maxShare := make([]int32, numLinks)
 	perLink := make([]int32, numLinks)
 	var touched []int32
-	var idScratch []int32 // uncompiled route expansion scratch
+	var idScratch []int32 // Reference route expansion scratch
 
 	rec.Emit(telemetry.Event{Kind: telemetry.SpanBegin, Scope: telemetry.ScopeRun,
 		Name: "run", Phase: -1, Step: -1, Transfer: -1})
@@ -82,12 +80,8 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 			startup := p.Ts
 			trans := p.Tc * float64(maxBlocks*sharing) * m
 			prop := p.Tl * float64(maxHops)
-			worker := 0
-			if stepWorkers != nil {
-				worker = stepWorkers[global]
-			}
 			rec.Emit(telemetry.Event{Kind: telemetry.SpanBegin, Scope: telemetry.ScopeStep,
-				Name: "step", Phase: pi, Step: global, Transfer: -1, Time: now, Worker: worker})
+				Name: "step", Phase: pi, Step: global, Transfer: -1, Time: now})
 			for ti := range st.Transfers {
 				tr := &st.Transfers[ti]
 				tStartup := p.Ts
@@ -95,7 +89,7 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 				tProp := p.Tl * float64(tr.TotalHops())
 				ev := telemetry.Event{Scope: telemetry.ScopeTransfer,
 					Name: tr.String(), Phase: pi, Step: global, Transfer: ti,
-					Worker: worker, Src: int(tr.Src), Dst: int(tr.Dst),
+					Src: int(tr.Src), Dst: int(tr.Dst),
 					Blocks: tr.Blocks, Hops: tr.TotalHops(),
 					Dim: tr.Dim, Dir: int(tr.Dir)}
 				ev.Kind, ev.Time = telemetry.SpanBegin, now
@@ -132,8 +126,7 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 			touched = touched[:0]
 			end := now + startup + trans + prop
 			rec.Emit(telemetry.Event{Kind: telemetry.SpanEnd, Scope: telemetry.ScopeStep,
-				Name: "step", Phase: pi, Step: global, Transfer: -1,
-				Time: end, Worker: worker,
+				Name: "step", Phase: pi, Step: global, Transfer: -1, Time: end,
 				Startup: startup, Transmit: trans, Propagate: prop,
 				Value: float64(sharing)})
 			now = end
@@ -144,7 +137,7 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 		// bulk copies. Compiled programs only (rec.Emit directly — the
 		// Counter helper can't carry a phase scope); the differential
 		// telemetry test filters these before comparing against the
-		// uncompiled stream.
+		// Reference stream.
 		if pg != nil && pg.descBase != nil && pi < len(pg.phaseRewrites) {
 			rec.Emit(telemetry.Event{Kind: telemetry.CounterKind, Scope: telemetry.ScopePhase,
 				Name: "phase.rewrites", Phase: pi, Step: -1, Transfer: -1, Time: now,
@@ -167,8 +160,8 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 	rec.Counter("exec.completion_us", now, p.Completion(res.Measure))
 	if pg != nil && pg.Replayable() {
 		// Bytes the replay physically moved on the mode that ran —
-		// compiled programs only (the uncompiled paths don't measure it;
-		// the differential telemetry test filters this too).
+		// compiled programs only (Reference doesn't measure it; the
+		// differential telemetry test filters this too).
 		rec.Counter("exec.bytes_moved", now, float64(res.BytesMoved))
 	}
 
@@ -183,16 +176,4 @@ func emitRun(rec *telemetry.Recorder, sc *schedule.Schedule, res *Result, stepWo
 		rec.LinkGauge("link.util", f, l, float64(busySteps[id])/steps)
 		rec.LinkGauge("link.contention", f, l, float64(maxShare[id]))
 	}
-}
-
-// workersOf flattens a bucket partition into a per-item worker index
-// (the bucket that processed each item).
-func workersOf(buckets [][]int, n int) []int {
-	w := make([]int, n)
-	for b, idx := range buckets {
-		for _, i := range idx {
-			w[i] = b
-		}
-	}
-	return w
 }

@@ -1,9 +1,8 @@
-// Differential coverage for the telemetry layer: a parallel run must
-// emit exactly the serial reference's event stream. Both paths emit
-// from the same serial post-pass, so the only tolerated divergence is
-// the diagnostic Worker field (which pool worker checked each step) and
-// arrival interleaving — telemetry.Canonical normalizes both, and these
-// tests require the canonical streams to be deep-equal.
+// Differential coverage for the telemetry layer: a parallel replay must
+// emit exactly the serial replay's event stream, and both must match
+// the Reference oracle's on the events every path produces. All paths
+// emit from the same serial post-pass after the run has validated, so
+// even the raw streams agree.
 package exec_test
 
 import (
@@ -17,14 +16,15 @@ import (
 	"torusx/internal/topology"
 )
 
-// telemetryShapes are the tori of the serial-vs-parallel stream
-// comparison: square 2D, cubic 3D, and a rectangular shape whose
-// shorter dimension idles groups early.
+// telemetryShapes are the tori of the stream comparisons: square 2D,
+// cubic 3D, and a rectangular shape whose shorter dimension idles
+// groups early.
 var telemetryShapes = [][]int{{8, 8}, {4, 4, 4}, {12, 8}}
 
-// recordRun executes alg on dims with a fresh memory sink attached and
-// returns the raw stream.
-func recordRun(t *testing.T, alg string, dims []int, serial bool, workers int) []telemetry.Event {
+// recordRun executes alg on dims with a fresh memory sink attached —
+// on the Reference oracle when reference is set, else through exec.Run
+// with opt — and returns the raw stream.
+func recordRun(t *testing.T, alg string, dims []int, reference bool, opt exec.Options) []telemetry.Event {
 	t.Helper()
 	tor := topology.MustNew(dims...)
 	b, err := algorithm.For(alg)
@@ -37,23 +37,31 @@ func recordRun(t *testing.T, alg string, dims []int, serial bool, workers int) [
 	}
 	sink := &telemetry.MemorySink{}
 	rec := telemetry.New(sink, costmodel.T3D(64))
-	if _, err := exec.Run(sc, exec.Options{Serial: serial, Workers: workers, Telemetry: rec}); err != nil {
+	opt.Telemetry = rec
+	run := exec.Run
+	if reference {
+		run = exec.Reference
+	}
+	if _, err := run(sc, opt); err != nil {
 		t.Fatal(err)
 	}
 	return sink.Events()
 }
 
+// TestTelemetryDifferentialSerialVsParallel: exec.Run's serial replay
+// and its parallel replay, under every worker count, must emit
+// canonically identical streams.
 func TestTelemetryDifferentialSerialVsParallel(t *testing.T) {
 	for _, alg := range []string{"proposed", "direct", "ring"} {
 		for _, dims := range telemetryShapes {
 			dims := dims
 			t.Run(alg+"/"+topology.MustNew(dims...).String(), func(t *testing.T) {
-				serial := recordRun(t, alg, dims, true, 0)
+				serial := recordRun(t, alg, dims, false, exec.Options{Serial: true})
 				if len(serial) == 0 {
 					t.Fatal("serial run emitted nothing")
 				}
 				for _, workers := range []int{0, 1, 3} {
-					parallel := recordRun(t, alg, dims, false, workers)
+					parallel := recordRun(t, alg, dims, false, exec.Options{Workers: workers})
 					if len(parallel) != len(serial) {
 						t.Fatalf("workers=%d: %d events vs serial's %d",
 							workers, len(parallel), len(serial))
@@ -75,22 +83,23 @@ func TestTelemetryDifferentialSerialVsParallel(t *testing.T) {
 }
 
 // TestTelemetryDifferentialRawOrder pins the stronger property the
-// post-pass design buys: even the RAW streams agree once Worker is
-// cleared — emission is a serial walk in schedule order on both paths,
-// not a per-worker race that Canonical has to repair.
+// post-pass design buys: the RAW stream of a parallel exec.Run equals
+// the Reference oracle's, event for event, once the compiled-only
+// counters are dropped — emission is a serial walk in schedule order on
+// both paths, not a per-worker race that Canonical has to repair.
 func TestTelemetryDifferentialRawOrder(t *testing.T) {
-	for _, dims := range telemetryShapes {
-		serial := recordRun(t, "proposed", dims, true, 0)
-		parallel := recordRun(t, "proposed", dims, false, 4)
-		if len(serial) != len(parallel) {
-			t.Fatalf("%v: length mismatch %d vs %d", dims, len(serial), len(parallel))
-		}
-		for i := range parallel {
-			ev := parallel[i]
-			ev.Worker = serial[i].Worker
-			if !reflect.DeepEqual(serial[i], ev) {
-				t.Fatalf("%v: raw stream diverges at event %d:\n serial   %+v\n parallel %+v",
-					dims, i, serial[i], parallel[i])
+	for _, alg := range []string{"proposed", "ring"} {
+		for _, dims := range telemetryShapes {
+			ref := recordRun(t, alg, dims, true, exec.Options{})
+			got := dropCompiledOnlyEvents(recordRun(t, alg, dims, false, exec.Options{Workers: 4}))
+			if len(ref) != len(got) {
+				t.Fatalf("%s %v: length mismatch %d vs %d", alg, dims, len(ref), len(got))
+			}
+			for i := range got {
+				if !reflect.DeepEqual(ref[i], got[i]) {
+					t.Fatalf("%s %v: raw stream diverges at event %d:\n reference %+v\n run       %+v",
+						alg, dims, i, ref[i], got[i])
+				}
 			}
 		}
 	}

@@ -10,8 +10,8 @@ import (
 
 // The all-to-all traffic matrix, built once per fabric and shared by
 // every executor path. This is the single implementation behind both
-// the exported FullTraffic and the internal default-traffic lookups of
-// the serial, parallel and compiled paths.
+// the exported FullTraffic and the Reference executor's default-traffic
+// lookup.
 //
 // The cache is byte-bounded: a sweep over many shapes (aapebench
 // grids, the fuzzers, a long-lived embedding service) must not retain

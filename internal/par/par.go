@@ -1,12 +1,19 @@
-// Package par is the deterministic fan-out layer behind the parallel
-// executor and simulators. Every helper here is shaped around one
-// rule: the partition of work depends only on the input sizes and
-// keys, never on goroutine scheduling, so per-shard results can be
-// reduced in shard order and the merged outcome is bit-identical to a
-// serial left-to-right walk. internal/exec shards schedule steps and,
-// within a step, transfers by sender/receiver; internal/wormhole and
-// internal/packetsim shard messages by link-disjoint component;
-// internal/eventsim shards transfers by endpoint and nodes by index.
+// Package par is the deterministic fan-out layer behind the executor
+// and the simulators. Every helper here is shaped around one rule: the
+// partition of work depends only on the input sizes and keys, never on
+// goroutine scheduling, so per-shard results can be reduced in shard
+// order and the merged outcome is bit-identical to a serial
+// left-to-right walk. internal/exec shards schedule steps and nodes at
+// compile time and, within a replay step, transfers by sender;
+// internal/wormhole and internal/packetsim shard messages by
+// link-disjoint component; internal/eventsim shards transfers by
+// endpoint and nodes by index.
+//
+// A panic in a worker goroutine does not crash the process: the fan-out
+// helpers recover it, wait for the other workers, and re-panic with the
+// same value on the caller's goroutine, where the caller's own deferred
+// recover (e.g. the program cache's compile guard) can turn it into an
+// error.
 package par
 
 import (
@@ -39,7 +46,8 @@ func Normalize(workers, n int) int {
 // range. Chunk boundaries depend only on (n, workers), so per-chunk
 // partial results can be reduced in chunk order deterministically.
 // With one worker (or one chunk) fn runs inline on the caller's
-// goroutine.
+// goroutine. A panic in fn re-panics on the caller's goroutine once
+// every chunk has returned.
 func ForEach(workers, n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -50,19 +58,47 @@ func ForEach(workers, n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	var wg sync.WaitGroup
+	var g group
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+		g.Go(func() { fn(lo, hi) })
 	}
-	wg.Wait()
+	g.Wait()
+}
+
+// group runs goroutines and joins them, carrying the first panic any
+// of them raised back to the goroutine that calls Wait.
+type group struct {
+	wg       sync.WaitGroup
+	once     sync.Once
+	panicked bool
+	value    any
+}
+
+// Go runs fn on a new goroutine, recovering a panic from it.
+func (g *group) Go(fn func()) {
+	g.wg.Add(1)
+	go func() {
+		defer g.wg.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				g.once.Do(func() { g.panicked, g.value = true, r })
+			}
+		}()
+		fn()
+	}()
+}
+
+// Wait blocks until every goroutine has returned, then re-panics with
+// the first recovered value, if any.
+func (g *group) Wait() {
+	g.wg.Wait()
+	if g.panicked {
+		panic(g.value)
+	}
 }
 
 // Buckets partitions the indices [0, n) into at most workers buckets
@@ -87,7 +123,8 @@ func Buckets(workers, n int, key func(i int) int) [][]int {
 
 // RunBuckets runs fn(i) for every index of every bucket: buckets run
 // concurrently with each other, indices within a bucket sequentially
-// in slice order. A single non-empty bucket runs inline.
+// in slice order. A single non-empty bucket runs inline. A panic in fn
+// re-panics on the caller's goroutine, as in RunBucketsWorker.
 func RunBuckets(buckets [][]int, fn func(i int)) {
 	RunBucketsWorker(buckets, func(_, i int) { fn(i) })
 }
@@ -96,7 +133,9 @@ func RunBuckets(buckets [][]int, fn func(i int)) {
 // callback: fn(w, i) runs on the goroutine owning bucket w, so w can
 // index per-worker scratch arenas (e.g. the compiled executor's
 // per-worker mark tables) without synchronization. Bucket indices are
-// stable — they depend only on the partition, never on scheduling.
+// stable — they depend only on the partition, never on scheduling. A
+// panic in fn re-panics on the caller's goroutine once every bucket
+// has returned.
 func RunBucketsWorker(buckets [][]int, fn func(worker, i int)) {
 	nonEmpty := 0
 	last := -1
@@ -115,20 +154,18 @@ func RunBucketsWorker(buckets [][]int, fn func(worker, i int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
+	var g group
 	for b, idx := range buckets {
 		if len(idx) == 0 {
 			continue
 		}
-		wg.Add(1)
-		go func(b int, idx []int) {
-			defer wg.Done()
+		g.Go(func() {
 			for _, i := range idx {
 				fn(b, i)
 			}
-		}(b, idx)
+		})
 	}
-	wg.Wait()
+	g.Wait()
 }
 
 // Components groups the items [0, n) into sets that transitively share

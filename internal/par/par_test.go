@@ -142,3 +142,58 @@ func TestNormalize(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelPanicReachesCaller: a panic in a worker goroutine must
+// not crash the process. Every fan-out helper re-panics it on the
+// caller's goroutine after the other workers finish, so a deferred
+// recover in the caller sees the original value.
+func TestParallelPanicReachesCaller(t *testing.T) {
+	boom := errors.New("boom")
+	recovered := func(fanOut func()) (r any) {
+		defer func() { r = recover() }()
+		fanOut()
+		return nil
+	}
+	buckets := Buckets(4, 16, func(i int) int { return i })
+	cases := []struct {
+		name   string
+		fanOut func()
+	}{
+		{"ForEach", func() {
+			ForEach(4, 16, func(lo, _ int) {
+				if lo > 0 {
+					panic(boom)
+				}
+			})
+		}},
+		{"RunBuckets", func() {
+			RunBuckets(buckets, func(i int) {
+				if i == 5 {
+					panic(boom)
+				}
+			})
+		}},
+		{"RunBucketsWorker", func() {
+			RunBucketsWorker(buckets, func(w, _ int) {
+				if w == 2 {
+					panic(boom)
+				}
+			})
+		}},
+		// One chunk runs inline; the panic is the caller's already.
+		{"ForEach-inline", func() { ForEach(1, 4, func(_, _ int) { panic(boom) }) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if r := recovered(tc.fanOut); r != boom {
+				t.Fatalf("recovered %v, want %v", r, boom)
+			}
+		})
+	}
+	// The helpers stay usable after a contained panic.
+	var hits atomic.Int64
+	ForEach(4, 16, func(lo, hi int) { hits.Add(int64(hi - lo)) })
+	if hits.Load() != 16 {
+		t.Fatalf("ForEach after a panic visited %d of 16 indices", hits.Load())
+	}
+}

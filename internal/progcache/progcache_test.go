@@ -12,6 +12,7 @@ import (
 	"torusx/internal/baseline"
 	"torusx/internal/block"
 	"torusx/internal/exec"
+	"torusx/internal/par"
 	"torusx/internal/progcache"
 	"torusx/internal/topology"
 )
@@ -312,6 +313,30 @@ func TestLeaderPanicReleasesWaiters(t *testing.T) {
 	}
 	if st := c.Stats(); st.Entries != 1 || st.Misses != 2 {
 		t.Errorf("stats: %v, want 1 entry / 2 misses", st)
+	}
+}
+
+// TestCompileWorkerPanicIsError: a panic on one of a compile's
+// internal/par worker goroutines — not the leader's own goroutine —
+// reaches the leader's deferred recover and comes back as an error,
+// instead of killing the process; the key is then free to compile.
+func TestCompileWorkerPanicIsError(t *testing.T) {
+	c := progcache.New(0)
+	tor := topology.MustNew(4, 4)
+	key := progcache.Key("direct", tor, 0)
+	_, err := c.GetOrCompile(key, func() (*exec.Program, error) {
+		par.ForEach(4, 16, func(lo, _ int) {
+			if lo > 0 {
+				panic("worker blew up")
+			}
+		})
+		return compileDirect(tor)
+	})
+	if err == nil || !strings.Contains(err.Error(), "worker blew up") {
+		t.Fatalf("err = %v, want the worker panic as an error", err)
+	}
+	if pg, err := c.GetOrCompile(key, func() (*exec.Program, error) { return compileDirect(tor) }); err != nil || pg == nil {
+		t.Fatalf("request after the panic: %v", err)
 	}
 }
 

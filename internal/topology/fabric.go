@@ -1,7 +1,7 @@
 package topology
 
 // Fabric is the topology seam of the repository: the capability set the
-// schedule IR, the executor (uncompiled and compiled), the program
+// schedule IR, the executor (and its Reference oracle), the program
 // cache, the telemetry post-pass and the simulators need from a
 // network, with no torus-specific vocabulary. A fabric names its nodes
 // densely, enumerates its unidirectional links with a dense id space,

@@ -12,6 +12,7 @@ package torusx
 //	BenchmarkCompletionSweep completion-time sweep vs baselines
 //	BenchmarkVirtualNodes    Section 6 virtual-node extension
 //	BenchmarkChannelBackend  concurrent SPMD execution
+//	BenchmarkExchangeData    ExchangeData on real payloads (16×16, 64 B)
 //	BenchmarkWormholeStep    flit-level execution of one step
 //	BenchmarkAblationA1      direction-split ablation at flit level
 //	BenchmarkLogTime         executable minimum-startup comparison ([9])
@@ -194,7 +195,7 @@ func BenchmarkVirtualNodes(b *testing.B) {
 // BenchmarkChannelBackend measures the concurrent SPMD execution
 // (goroutine per node, channel per consumption port).
 func BenchmarkChannelBackend(b *testing.B) {
-	for _, dims := range [][]int{{8, 8}, {12, 12}, {8, 8, 8}} {
+	for _, dims := range [][]int{{8, 8}, {12, 12}, {16, 16}, {8, 8, 8}} {
 		b.Run(topology.MustNew(dims...).String(), func(b *testing.B) {
 			var msgs int
 			for i := 0; i < b.N; i++ {
@@ -208,6 +209,35 @@ func BenchmarkChannelBackend(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkExchangeData measures the public real-payload exchange on
+// 16×16 with 64-byte blocks, payloads drawn from one allocation as a
+// caller's would be.
+func BenchmarkExchangeData(b *testing.B) {
+	const blockBytes = 64
+	tor := topology.MustNew(16, 16)
+	n := tor.Nodes()
+	backing := make([]byte, n*n*blockBytes)
+	data := make([][][]byte, n)
+	for i := range data {
+		data[i] = make([][]byte, n)
+		for j := range data[i] {
+			off := (i*n + j) * blockBytes
+			data[i][j] = backing[off : off+blockBytes : off+blockBytes]
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := ExchangeData(tor, data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		exchangeSink = out
+	}
+}
+
+var exchangeSink [][][]byte
 
 // BenchmarkWormholeStep measures flit-level execution of the first
 // group step of a 16×16 exchange (the heaviest step of the schedule),

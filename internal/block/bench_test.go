@@ -37,7 +37,7 @@ func BenchmarkTakeIfAt(b *testing.B) {
 		b.StopTimer()
 		buf := benchBuffer(4096)
 		b.StartTimer()
-		buf.TakeIfAt(func(blk Block) bool { return blk.Dest >= 2048 })
+		buf.TakeIfAt(nil, func(blk Block) bool { return blk.Dest >= 2048 })
 	}
 }
 

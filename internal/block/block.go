@@ -53,6 +53,9 @@ func (b Block) Checksum() uint64 {
 // Buffer is one node's ordered data array of blocks.
 type Buffer struct {
 	blocks []Block
+	// keyed and spare are SortByKey's scratch. The buffer keeps them
+	// across calls, so repeated sorts of one buffer allocate nothing.
+	keyed, spare []keyedBlock
 
 	// Rearrangements counts explicit Arrange calls plus forced
 	// rearrangements (non-contiguous TakeIf extractions when strict
@@ -107,18 +110,20 @@ func (buf *Buffer) Contains(b Block) bool {
 	return false
 }
 
-// TakeIfAt removes every block satisfying pred, returning the removed
-// blocks in array order, the index at which the removed run began, and
-// whether the removed blocks formed one contiguous run (in which case
-// no rearrangement would be needed to transmit them). The relative
-// order of remaining blocks is preserved. When the extraction was
-// contiguous, inserting received blocks back at pos reproduces the
-// paper's in-place data array: incoming blocks land in the positions
-// vacated by outgoing ones, which is what keeps every later extraction
-// contiguous too. When nothing was taken, pos is the buffer length
-// (append position).
-func (buf *Buffer) TakeIfAt(pred func(Block) bool) (taken []Block, pos int, contiguous bool) {
+// TakeIfAt removes every block satisfying pred and appends the removed
+// blocks, in array order, to dst. It returns the extended dst, the
+// index at which the removed run began, and whether the removed blocks
+// formed one contiguous run (in which case no rearrangement would be
+// needed to transmit them). Passing a previous result's dst[:0] reuses
+// its memory. The relative order of remaining blocks is preserved.
+// When the extraction was contiguous, inserting received blocks back
+// at pos reproduces the paper's in-place data array: incoming blocks
+// land in the positions vacated by outgoing ones, which is what keeps
+// every later extraction contiguous too. When nothing was taken, pos
+// is the buffer length (append position).
+func (buf *Buffer) TakeIfAt(dst []Block, pred func(Block) bool) (taken []Block, pos int, contiguous bool) {
 	first, last := -1, -1
+	taken = dst
 	keep := buf.blocks[:0]
 	for i, b := range buf.blocks {
 		if pred(b) {
@@ -132,15 +137,15 @@ func (buf *Buffer) TakeIfAt(pred func(Block) bool) (taken []Block, pos int, cont
 		}
 	}
 	buf.blocks = keep
-	if len(taken) == 0 {
-		return nil, len(buf.blocks), true
+	if first < 0 {
+		return taken, len(buf.blocks), true
 	}
-	return taken, first, last-first+1 == len(taken)
+	return taken, first, last-first+1 == len(taken)-len(dst)
 }
 
-// TakeIf is TakeIfAt without the position.
+// TakeIf is TakeIfAt into a new slice, without the position.
 func (buf *Buffer) TakeIf(pred func(Block) bool) (taken []Block, contiguous bool) {
-	taken, _, contiguous = buf.TakeIfAt(pred)
+	taken, _, contiguous = buf.TakeIfAt(nil, pred)
 	return taken, contiguous
 }
 
@@ -175,23 +180,66 @@ func (buf *Buffer) Sort(less func(a, b Block) bool) {
 	})
 }
 
+// keyedBlock is a block paired with its sort key.
+type keyedBlock struct {
+	key uint64
+	b   Block
+}
+
 // SortByKey stably sorts the array ascending by an integer key,
-// computing each block's key exactly once (decorate-sort-undecorate).
-// Much faster than Sort for expensive key functions.
+// computing each block's key exactly once. It is a least-significant-
+// digit radix sort on key − min with one counting pass per byte of the
+// key range, so the small keys the exchange sorts by (ring distances,
+// Gray ranks) take a single pass. Its scratch belongs to the buffer.
 func (buf *Buffer) SortByKey(key func(Block) int) {
 	n := len(buf.blocks)
-	keys := make([]int, n)
-	idx := make([]int, n)
+	if cap(buf.keyed) < n {
+		buf.keyed = make([]keyedBlock, n)
+	}
+	src := buf.keyed[:n]
+	lo, hi := 0, 0
 	for i, b := range buf.blocks {
-		keys[i] = key(b)
-		idx[i] = i
+		k := key(b)
+		if i == 0 {
+			lo, hi = k, k
+		}
+		lo, hi = min(lo, k), max(hi, k)
+		src[i] = keyedBlock{key: uint64(k), b: b}
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
-	out := make([]Block, n)
-	for p, i := range idx {
-		out[p] = buf.blocks[i]
+	base, span := uint64(lo), uint64(hi)-uint64(lo)
+	if span == 0 {
+		return
 	}
-	buf.blocks = out
+	for shift := 0; ; shift += 8 {
+		var count [256]int
+		for _, e := range src {
+			count[byte((e.key-base)>>shift)]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d], sum = sum, sum+c
+		}
+		if span>>shift < 256 {
+			// The most significant digit: scatter into the array.
+			for _, e := range src {
+				d := byte((e.key - base) >> shift)
+				buf.blocks[count[d]] = e.b
+				count[d]++
+			}
+			return
+		}
+		if cap(buf.spare) < n {
+			buf.spare = make([]keyedBlock, n)
+		}
+		dst := buf.spare[:n]
+		for _, e := range src {
+			d := byte((e.key - base) >> shift)
+			dst[count[d]] = e
+			count[d]++
+		}
+		buf.keyed, buf.spare = buf.spare, buf.keyed
+		src = dst
+	}
 }
 
 // ArrangeByKey is SortByKey plus a charged rearrangement of every held

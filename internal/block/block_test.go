@@ -102,7 +102,7 @@ func TestTakeIfAtPositionAndInsertRoundTrip(t *testing.T) {
 		buf.Add(Block{Origin: 0, Dest: topology.NodeID(d)})
 	}
 	// Remove the middle run [2,3].
-	taken, pos, contig := buf.TakeIfAt(func(b Block) bool { return b.Dest == 2 || b.Dest == 3 })
+	taken, pos, contig := buf.TakeIfAt(nil, func(b Block) bool { return b.Dest == 2 || b.Dest == 3 })
 	if len(taken) != 2 || pos != 2 || !contig {
 		t.Fatalf("taken=%v pos=%d contig=%v", taken, pos, contig)
 	}
@@ -119,7 +119,7 @@ func TestTakeIfAtPositionAndInsertRoundTrip(t *testing.T) {
 func TestTakeIfAtEmptyPos(t *testing.T) {
 	buf := NewBuffer(2)
 	buf.Add(Block{0, 0}, Block{0, 1})
-	taken, pos, contig := buf.TakeIfAt(func(Block) bool { return false })
+	taken, pos, contig := buf.TakeIfAt(nil, func(Block) bool { return false })
 	if len(taken) != 0 || pos != 2 || !contig {
 		t.Fatalf("taken=%v pos=%d contig=%v, want empty at end", taken, pos, contig)
 	}
@@ -217,6 +217,75 @@ func TestSortByKeyStability(t *testing.T) {
 		if b.Origin != want[i] {
 			t.Fatalf("stability broken: %v", buf.View())
 		}
+	}
+}
+
+// Property: SortByKey orders like a stable comparator sort for any
+// int keys, including negative keys and ranges that need several
+// radix passes.
+func TestSortByKeyMatchesStableSortProperty(t *testing.T) {
+	f := func(keys []int64, shift uint8) bool {
+		key := func(b Block) int { return int(keys[b.Dest] >> (shift % 64)) }
+		mk := func() *Buffer {
+			buf := NewBuffer(len(keys))
+			for i := range keys {
+				buf.Add(Block{Origin: topology.NodeID(i % 3), Dest: topology.NodeID(i)})
+			}
+			return buf
+		}
+		a, b := mk(), mk()
+		a.SortByKey(key)
+		b.Sort(func(x, y Block) bool { return key(x) < key(y) })
+		for i := range a.View() {
+			if a.View()[i] != b.View()[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// SortByKey keeps its scratch in the buffer: once a buffer has been
+// sorted, sorting it again allocates nothing, for one-pass and
+// multi-pass key ranges alike.
+func TestSortByKeyReusesScratch(t *testing.T) {
+	buf := NewBuffer(4096)
+	for i := 0; i < 4096; i++ {
+		buf.Add(Block{Origin: topology.NodeID(i % 64), Dest: topology.NodeID((i * 7) % 4096)})
+	}
+	for _, key := range []func(Block) int{
+		func(b Block) int { return int(b.Dest) % 4 },
+		func(b Block) int { return -int(b.Dest) },
+	} {
+		buf.SortByKey(key)
+		if allocs := testing.AllocsPerRun(10, func() { buf.SortByKey(key) }); allocs != 0 {
+			t.Fatalf("SortByKey allocated %.0f times per call on a sorted-before buffer", allocs)
+		}
+	}
+}
+
+// TakeIfAt appends to dst and judges contiguity on the appended blocks
+// alone, so a caller can reuse one send slice across steps.
+func TestTakeIfAtAppendsToDst(t *testing.T) {
+	buf := NewBuffer(6)
+	for d := 0; d < 6; d++ {
+		buf.Add(Block{Origin: 0, Dest: topology.NodeID(d)})
+	}
+	dst := make([]Block, 1, 8)
+	dst[0] = Block{7, 7}
+	taken, pos, contig := buf.TakeIfAt(dst, func(b Block) bool { return b.Dest == 1 || b.Dest == 2 })
+	if want := []Block{{7, 7}, {0, 1}, {0, 2}}; len(taken) != 3 || taken[0] != want[0] || taken[1] != want[1] || taken[2] != want[2] {
+		t.Fatalf("taken = %v, want %v", taken, want)
+	}
+	if pos != 1 || !contig || &taken[0] != &dst[0] {
+		t.Fatalf("pos=%d contig=%v reused=%v", pos, contig, &taken[0] == &dst[0])
+	}
+	taken, _, contig = buf.TakeIfAt(taken[:0], func(b Block) bool { return b.Dest == 0 || b.Dest == 5 })
+	if len(taken) != 2 || contig || &taken[0] != &dst[0] {
+		t.Fatalf("taken=%v contig=%v, want a non-contiguous take into the reused slice", taken, contig)
 	}
 }
 

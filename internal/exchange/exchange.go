@@ -434,7 +434,7 @@ func (ex *executor) execStep(phase string, index int, assign func(i int) (plan.M
 	insertPos := make([]int, n)
 	for i := 0; i < n; i++ {
 		m, hops, pred := assign(i)
-		taken, pos, contig := ex.bufs[i].TakeIfAt(pred)
+		taken, pos, contig := ex.bufs[i].TakeIfAt(nil, pred)
 		insertPos[i] = pos
 		if len(taken) == 0 {
 			continue

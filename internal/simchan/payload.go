@@ -2,34 +2,20 @@ package simchan
 
 import (
 	"fmt"
-	"sync"
 
-	"torusx/internal/block"
-	"torusx/internal/plan"
 	"torusx/internal/topology"
 )
 
-// Payload-carrying execution: the same SPMD program as Run, but every
-// block travels with its payload bytes, so the data a node ends up
-// with has genuinely crossed the simulated network hop by hop rather
-// than being assembled from the verified block movement.
-
-// payloadMessage pairs blocks with their payloads, index-aligned.
-type payloadMessage struct {
-	blocks   []block.Block
-	payloads [][]byte
-}
-
 // RunPayload executes the exchange carrying data[i][j] (the payload
-// node i holds for node j) and returns out[i][j] = data[j][i] as
-// received through the network, along with the block-level result.
+// node i holds for node j) and returns out[i][j] = data[j][i], along
+// with the block-level result. It runs the same SPMD program as Run:
+// each payload is bound to the identity of its block, and node v's
+// output row is read off the blocks v holds when the program ends,
+// out[v][b.Origin] = data[b.Origin][b.Dest]. A correct output therefore
+// depends on correct delivery, which verify.Delivered checks on the
+// returned buffers. No payload byte is copied: out[i][j] shares its
+// backing array with data[j][i].
 func RunPayload(t *topology.Torus, data [][][]byte) (*Result, [][][]byte, error) {
-	if t.NDims() < 2 {
-		return nil, nil, fmt.Errorf("simchan: need at least 2 dimensions, got %d", t.NDims())
-	}
-	if err := t.ValidateForExchange(); err != nil {
-		return nil, nil, err
-	}
 	n := t.Nodes()
 	if len(data) != n {
 		return nil, nil, fmt.Errorf("simchan: %d payload rows for %d nodes", len(data), n)
@@ -39,118 +25,18 @@ func RunPayload(t *topology.Torus, data [][][]byte) (*Result, [][][]byte, error)
 			return nil, nil, fmt.Errorf("simchan: node %d has %d payloads, want %d", i, len(row), n)
 		}
 	}
-
-	bufs := block.Initial(t)
-	inbox := make([]chan payloadMessage, n)
-	for i := range inbox {
-		inbox[i] = make(chan payloadMessage, 1)
-	}
-	bar := newBarrier(n)
-	coords := make([]topology.Coord, n)
-	for i := range coords {
-		coords[i] = t.CoordOf(topology.NodeID(i))
+	res, err := Run(t)
+	if err != nil {
+		return nil, nil, err
 	}
 	out := make([][][]byte, n)
-	sent := make([]int, n)
-
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(id int) {
-			defer wg.Done()
-			node := &payloadNode{
-				spmdNode: spmdNode{
-					t:      t,
-					id:     topology.NodeID(id),
-					self:   coords[id],
-					coords: coords,
-					buf:    bufs[id],
-					bar:    bar,
-				},
-				pinbox: inbox,
-				store:  make(map[block.Block][]byte, n),
-			}
-			for j := 0; j < n; j++ {
-				node.store[block.Block{Origin: topology.NodeID(id), Dest: topology.NodeID(j)}] = data[id][j]
-			}
-			node.run()
-			row := make([][]byte, n)
-			for j := 0; j < n; j++ {
-				row[j] = node.store[block.Block{Origin: topology.NodeID(j), Dest: topology.NodeID(id)}]
-			}
-			out[id] = row
-			sent[id] = node.sent
-		}(i)
-	}
-	wg.Wait()
-
-	res := &Result{Torus: t, Buffers: bufs}
-	for _, s := range sent {
-		res.MessagesSent += s
+	cells := make([][]byte, n*n)
+	for v, buf := range res.Buffers {
+		row := cells[v*n : (v+1)*n : (v+1)*n]
+		for _, b := range buf.View() {
+			row[b.Origin] = data[b.Origin][b.Dest]
+		}
+		out[v] = row
 	}
 	return res, out, nil
-}
-
-// payloadNode extends spmdNode with a payload store and a
-// payload-carrying inbox.
-type payloadNode struct {
-	spmdNode
-	pinbox []chan payloadMessage
-	store  map[block.Block][]byte
-}
-
-// run mirrors spmdNode.run with payload-carrying steps.
-func (nd *payloadNode) run() {
-	n := nd.t.NDims()
-	moves := plan.GroupPhases(nd.self)
-	globalSteps := nd.t.Dim(0)/topology.GroupStride - 1
-
-	for p := 0; p < n; p++ {
-		m := moves[p]
-		nd.buf.SortByKey(func(b block.Block) int {
-			return nd.groupRemaining(nd.coords[b.Dest], m)
-		})
-		ringLen := nd.t.Dim(m.Dim) / topology.GroupStride
-		dest := nd.t.MoveID(nd.id, m.Dim, topology.GroupStride*int(m.Dir))
-		for s := 1; s <= globalSteps; s++ {
-			nd.step(s <= ringLen-1, dest, nd.groupPred(m))
-		}
-	}
-	order := plan.QuadOrder(nd.self)
-	nd.buf.SortByKey(nd.quadKey(order))
-	for s := 1; s <= n; s++ {
-		m := plan.QuadMove(nd.self, s)
-		dest := nd.t.MoveID(nd.id, m.Dim, 2*int(m.Dir))
-		nd.step(true, dest, func(b block.Block) bool { return nd.quadBit(b, m.Dim) == 1 })
-	}
-	nd.buf.SortByKey(nd.bitKey())
-	for s := 1; s <= n; s++ {
-		m := plan.BitMove(nd.self, s)
-		dest := nd.t.MoveID(nd.id, m.Dim, int(m.Dir))
-		nd.step(true, dest, func(b block.Block) bool { return nd.lowBit(b, m.Dim) == 1 })
-	}
-}
-
-// step extracts the send set with its payloads, exchanges messages,
-// and stores the received payloads.
-func (nd *payloadNode) step(active bool, dest topology.NodeID, pred func(block.Block) bool) {
-	if active {
-		taken, pos, _ := nd.buf.TakeIfAt(pred)
-		msg := payloadMessage{blocks: taken, payloads: make([][]byte, len(taken))}
-		for k, b := range taken {
-			msg.payloads[k] = nd.store[b]
-			delete(nd.store, b)
-		}
-		nd.pinbox[dest] <- msg
-		nd.sent++
-		in := <-nd.pinbox[nd.id]
-		for k, b := range in.blocks {
-			nd.store[b] = in.payloads[k]
-		}
-		if pos > nd.buf.Len() {
-			pos = nd.buf.Len()
-		}
-		nd.buf.InsertAt(pos, in.blocks)
-	}
-	nd.bar.wait()
 }

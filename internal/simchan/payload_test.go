@@ -3,6 +3,7 @@ package simchan
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"torusx/internal/topology"
@@ -13,18 +14,23 @@ func payloadFor(i, j int) []byte {
 	return []byte(fmt.Sprintf("data %d->%d", i, j))
 }
 
+// payloads returns the n×n input whose cell [i][j] is fill(i, j).
+func payloads(n int, fill func(i, j int) []byte) [][][]byte {
+	data := make([][][]byte, n)
+	for i := range data {
+		data[i] = make([][]byte, n)
+		for j := range data[i] {
+			data[i][j] = fill(i, j)
+		}
+	}
+	return data
+}
+
 func TestRunPayloadCarriesData(t *testing.T) {
 	for _, dims := range [][]int{{8, 8}, {12, 8}} {
 		tor := topology.MustNew(dims...)
 		n := tor.Nodes()
-		data := make([][][]byte, n)
-		for i := range data {
-			data[i] = make([][]byte, n)
-			for j := range data[i] {
-				data[i][j] = payloadFor(i, j)
-			}
-		}
-		res, out, err := RunPayload(tor, data)
+		res, out, err := RunPayload(tor, payloads(n, payloadFor))
 		if err != nil {
 			t.Fatalf("%v: %v", dims, err)
 		}
@@ -56,17 +62,16 @@ func TestRunPayloadValidation(t *testing.T) {
 	if _, _, err := RunPayload(topology.MustNew(10, 4), nil); err == nil {
 		t.Fatal("invalid torus should fail")
 	}
+	odd := topology.MustNew(10, 4)
+	if _, _, err := RunPayload(odd, payloads(odd.Nodes(), payloadFor)); err == nil {
+		t.Fatal("invalid torus with well-formed data should fail")
+	}
 }
 
 func TestRunPayloadNilPayloadsAllowed(t *testing.T) {
 	// Nil payloads are legal (zero-length data) and still route.
 	tor := topology.MustNew(4, 4)
-	n := tor.Nodes()
-	data := make([][][]byte, n)
-	for i := range data {
-		data[i] = make([][]byte, n)
-	}
-	res, out, err := RunPayload(tor, data)
+	res, out, err := RunPayload(tor, payloads(tor.Nodes(), func(int, int) []byte { return nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,5 +84,37 @@ func TestRunPayloadNilPayloadsAllowed(t *testing.T) {
 				t.Fatalf("out[%d][%d] = %v, want nil", i, j, out[i][j])
 			}
 		}
+	}
+}
+
+// maxRunPayloadBytes bounds the bytes one 16×16 RunPayload allocates:
+// about 5 MB measured (buffers, sort scratch, send slices and the
+// output rows) plus margin. A per-hop payload map, or sort and send
+// slices allocated afresh every step, cost over 35 MB per run here.
+const maxRunPayloadBytes = 10 << 20
+
+func TestRunPayloadAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard skipped in -short mode")
+	}
+	tor := topology.MustNew(16, 16)
+	data := payloads(tor.Nodes(), func(int, int) []byte { return make([]byte, 64) })
+	run := func() {
+		if _, _, err := RunPayload(tor, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 3
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("16x16 RunPayload: %.1f MB and %d allocations per run", float64(perRun)/(1<<20), (after.Mallocs-before.Mallocs)/runs)
+	if perRun > maxRunPayloadBytes {
+		t.Fatalf("16x16 RunPayload allocated %.1f MB per run, bound %.1f MB", float64(perRun)/(1<<20), float64(maxRunPayloadBytes)/(1<<20))
 	}
 }

@@ -17,6 +17,9 @@
 // executable under asynchronous message passing with bounded channel
 // capacity and no central coordinator, and to cross-check the
 // lock-step executor: both must produce identical final buffers.
+// RunPayload carries real payloads on the same program: each payload
+// is bound to the block that travels hop by hop, so no payload byte is
+// ever copied.
 package simchan
 
 import (
@@ -27,12 +30,6 @@ import (
 	"torusx/internal/plan"
 	"torusx/internal/topology"
 )
-
-// message is one combined transfer between ring neighbours or
-// exchange partners.
-type message struct {
-	blocks []block.Block
-}
 
 // barrier is a reusable cyclic barrier for n parties.
 type barrier struct {
@@ -87,9 +84,11 @@ func Run(t *topology.Torus) (*Result, error) {
 	}
 	n := t.Nodes()
 	bufs := block.Initial(t)
-	inbox := make([]chan message, n)
+	// A message is one combined transfer between ring neighbours or
+	// exchange partners.
+	inbox := make([]chan []block.Block, n)
 	for i := range inbox {
-		inbox[i] = make(chan message, 1) // one consumption port
+		inbox[i] = make(chan []block.Block, 1) // one consumption port
 	}
 	bar := newBarrier(n)
 	sent := make([]int, n)
@@ -114,6 +113,7 @@ func Run(t *topology.Torus) (*Result, error) {
 				buf:    bufs[id],
 				inbox:  inbox,
 				bar:    bar,
+				send:   make([]block.Block, 0, n),
 			}
 			node.run()
 			sent[id] = node.sent
@@ -136,10 +136,14 @@ type spmdNode struct {
 	self   topology.Coord
 	coords []topology.Coord // shared read-only coordinate table
 	buf    *block.Buffer
-	inbox  []chan message
+	inbox  []chan []block.Block
 	bar    *barrier
 	sent   int
 	bits   []int // scratch for gray keys
+	// send is the outgoing message, reused every step: the receiver
+	// copies it into its buffer before the step's barrier, and the
+	// next step refills it only after that barrier.
+	send []block.Block
 }
 
 func (nd *spmdNode) run() {
@@ -186,14 +190,15 @@ func (nd *spmdNode) run() {
 // phases, and quad/bit partners are always active.
 func (nd *spmdNode) step(active bool, dest topology.NodeID, pred func(block.Block) bool) {
 	if active {
-		taken, pos, _ := nd.buf.TakeIfAt(pred)
-		nd.inbox[dest] <- message{blocks: taken}
+		var pos int
+		nd.send, pos, _ = nd.buf.TakeIfAt(nd.send[:0], pred)
+		nd.inbox[dest] <- nd.send
 		nd.sent++
-		msg := <-nd.inbox[nd.id]
+		recv := <-nd.inbox[nd.id]
 		if pos > nd.buf.Len() {
 			pos = nd.buf.Len()
 		}
-		nd.buf.InsertAt(pos, msg.blocks)
+		nd.buf.InsertAt(pos, recv)
 	}
 	nd.bar.wait()
 }

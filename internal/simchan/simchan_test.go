@@ -1,10 +1,10 @@
 package simchan
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
-	"torusx/internal/block"
 	"torusx/internal/exchange"
 	"torusx/internal/topology"
 	"torusx/internal/verify"
@@ -34,8 +34,11 @@ func TestConcurrentRunDelivers(t *testing.T) {
 	}
 }
 
+// The concurrent program and the lock-step executor must leave every
+// node with the same data array, element for element, and the payload
+// run must move exactly the blocks and messages of the plain run.
 func TestAgreesWithLockStepExecutor(t *testing.T) {
-	for _, dims := range [][]int{{12, 8}, {8, 8, 8}} {
+	for _, dims := range [][]int{{8, 8}, {12, 8}, {16, 16}, {8, 8, 8}, {8, 8, 4}} {
 		tor := topology.MustNew(dims...)
 		conc, err := Run(tor)
 		if err != nil {
@@ -45,41 +48,22 @@ func TestAgreesWithLockStepExecutor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		pay, _, err := RunPayload(tor, payloads(tor.Nodes(), payloadFor))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pay.MessagesSent != conc.MessagesSent {
+			t.Fatalf("%v: RunPayload sent %d messages, Run %d", dims, pay.MessagesSent, conc.MessagesSent)
+		}
 		for i := range conc.Buffers {
-			if got, want := sortedBlocks(conc.Buffers[i]), sortedBlocks(lock.Buffers[i]); !equalBlocks(got, want) {
-				t.Fatalf("%v: node %d buffers differ between backends", dims, i)
+			if !slices.Equal(conc.Buffers[i].View(), lock.Buffers[i].View()) {
+				t.Fatalf("%v: node %d data arrays differ between backends", dims, i)
+			}
+			if !slices.Equal(pay.Buffers[i].View(), conc.Buffers[i].View()) {
+				t.Fatalf("%v: node %d data arrays differ between RunPayload and Run", dims, i)
 			}
 		}
 	}
-}
-
-func sortedBlocks(buf *block.Buffer) []block.Block {
-	bs := buf.All()
-	for i := 1; i < len(bs); i++ {
-		for j := i; j > 0 && less(bs[j], bs[j-1]); j-- {
-			bs[j], bs[j-1] = bs[j-1], bs[j]
-		}
-	}
-	return bs
-}
-
-func less(a, b block.Block) bool {
-	if a.Origin != b.Origin {
-		return a.Origin < b.Origin
-	}
-	return a.Dest < b.Dest
-}
-
-func equalBlocks(a, b []block.Block) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestMessageCount(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package verify checks the correctness invariants of an all-to-all
 // personalized exchange: global block conservation, final delivery,
-// payload integrity, and the intermediate proxy-placement property of
-// the Suh–Shin group phases.
+// and the intermediate proxy-placement property of the Suh–Shin group
+// phases.
 package verify
 
 import (
@@ -37,7 +37,7 @@ func Conservation(f topology.Fabric, bufs []*block.Buffer) error {
 }
 
 // Delivered checks the exchange post-condition: node i holds exactly
-// the N blocks {B[j,i] : all j}, with intact payload checksums.
+// the N blocks {B[j,i] : all j}.
 func Delivered(f topology.Fabric, bufs []*block.Buffer) error {
 	n := f.Nodes()
 	if len(bufs) != n {
@@ -56,10 +56,6 @@ func Delivered(f topology.Fabric, bufs []*block.Buffer) error {
 				return fmt.Errorf("verify: node %d holds two blocks from origin %d", i, b.Origin)
 			}
 			fromOrigin[b.Origin] = true
-			want := block.Block{Origin: b.Origin, Dest: b.Dest}
-			if b.Checksum() != want.Checksum() {
-				return fmt.Errorf("verify: node %d block %v checksum mismatch", i, b)
-			}
 		}
 	}
 	return nil

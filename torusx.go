@@ -17,8 +17,9 @@
 //     multiples of four, via the paper's virtual-node extension.
 //   - AllToAllSparse:      route an arbitrary traffic matrix through
 //     the same schedule.
-//   - ExchangeData:        move real per-pair payloads through the
-//     simulated network, hop by hop.
+//   - ExchangeData:        deliver real per-pair payloads through the
+//     concurrent SPMD simulation; each payload travels with its block
+//     and no byte is copied.
 //   - ScheduleFor:         build and verify the full schedule without
 //     simulating data (scales to tens of thousands of nodes).
 //   - Predict/Completion:  the closed-form cost model of Table 1 and
@@ -408,10 +409,12 @@ func AllToAllSparseArbitrary(dims []int, pairs []Pair) (*Report, error) {
 
 // ExchangeData performs a complete exchange of real payloads over the
 // simulated network: data[i][j] is the payload node i holds for node
-// j, and the result out satisfies out[i][j] = data[j][i]. Every
-// payload travels hop by hop with its block through the concurrent
-// SPMD simulation (one goroutine per node, channels as ports), and
-// block delivery is verified before the data is returned.
+// j, and the result out satisfies out[i][j] = data[j][i]. Each payload
+// is bound to its block, and the block travels hop by hop through the
+// concurrent SPMD simulation (one goroutine per node, channels as
+// ports); block delivery is verified before the data is returned. No
+// payload byte is copied: out[i][j] shares its backing array with
+// data[j][i], so writing one changes the other.
 func ExchangeData(t *Torus, data [][][]byte) ([][][]byte, error) {
 	res, out, err := simchan.RunPayload(t, data)
 	if err != nil {

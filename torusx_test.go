@@ -251,24 +251,30 @@ func TestPredictMatchesPaperExample(t *testing.T) {
 }
 
 func TestExchangeData(t *testing.T) {
-	tor, _ := NewTorus(4, 4)
-	n := tor.Nodes()
-	data := make([][][]byte, n)
-	for i := range data {
-		data[i] = make([][]byte, n)
-		for j := range data[i] {
-			data[i][j] = []byte(fmt.Sprintf("payload %d->%d", i, j))
+	for _, dims := range [][]int{{4, 4}, {8, 8, 4}} {
+		tor, _ := NewTorus(dims...)
+		n := tor.Nodes()
+		data := make([][][]byte, n)
+		for i := range data {
+			data[i] = make([][]byte, n)
+			for j := range data[i] {
+				data[i][j] = []byte(fmt.Sprintf("payload %d->%d", i, j))
+			}
 		}
-	}
-	out, err := ExchangeData(tor, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		for j := range out[i] {
-			want := []byte(fmt.Sprintf("payload %d->%d", j, i))
-			if !bytes.Equal(out[i][j], want) {
-				t.Fatalf("out[%d][%d] = %q, want %q", i, j, out[i][j], want)
+		out, err := ExchangeData(tor, data)
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		for i := range out {
+			for j := range out[i] {
+				want := []byte(fmt.Sprintf("payload %d->%d", j, i))
+				if !bytes.Equal(out[i][j], want) {
+					t.Fatalf("%v: out[%d][%d] = %q, want %q", dims, i, j, out[i][j], want)
+				}
+				// The documented contract: no byte is copied.
+				if &out[i][j][0] != &data[j][i][0] {
+					t.Fatalf("%v: out[%d][%d] does not share its backing array with data[%d][%d]", dims, i, j, j, i)
+				}
 			}
 		}
 	}

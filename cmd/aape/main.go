@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	aape -dims 12x12 [-fabric torus|dragonfly] [-alg proposed|direct|ring|factored|logtime|concurrent|virtual] [-m 64] [-ts 25 -tc 0.01 -tl 0.05 -rho 0.005] [-parallel=true] [-workers N] [-telemetry ev.jsonl] [-trace-out t.json] [-heatmap]
+//	aape -dims 12x12 [-fabric torus|dragonfly] [-alg proposed|direct|ring|factored|logtime|concurrent|virtual] [-m 64] [-ts 25 -tc 0.01 -tl 0.05 -rho 0.005] [-telemetry ev.jsonl] [-trace-out t.json] [-heatmap]
 //
 // Examples:
 //
@@ -12,15 +12,12 @@
 //	aape -dims 6x5 -alg virtual      # non-multiple-of-four torus
 //	aape -dims 8x8 -alg direct       # non-combining baseline
 //	aape -dims 16x16 -alg logtime    # minimum-startup baseline
-//	aape -dims 32x32 -alg proposed-sim -parallel=false  # serial replay
 //	aape -fabric dragonfly -dims 2x4 -alg direct       # D3(2,4) swapped dragonfly
 //	aape -fabric dragonfly -dims 2x4 -alg dimexchange  # port-ordered dragonfly exchange
 //
 // Executor-backed algorithms (direct, ring, factored, logtime,
 // proposed-sim, broadcast, allgather) run through the shared executor,
-// which by default fans each step's replay out across GOMAXPROCS
-// workers; -parallel=false selects the serial replay, bit-identical by
-// construction.
+// which replays the compiled schedule step by step in schedule order.
 package main
 
 import (
@@ -48,16 +45,14 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("aape", flag.ContinueOnError)
 	var (
-		fabricFlag   = fs.String("fabric", "torus", "fabric kind: torus or dragonfly (D3(K,M), shape KxM)")
-		dimsFlag     = fs.String("dims", "12x12", "fabric shape: torus dimensions like 12x8x4, or KxM for -fabric dragonfly")
-		algFlag      = fs.String("alg", "proposed", "algorithm: proposed, direct, ring, factored, logtime, concurrent, virtual, auto (cost-model planner, needs or implies -traffic), or any registered name ("+strings.Join(algorithm.Names(), ", ")+")")
-		mFlag        = fs.Int("m", 64, "block size in bytes")
-		tsFlag       = fs.Float64("ts", 25, "startup time per message (us)")
-		tcFlag       = fs.Float64("tc", 0.01, "transmission time per byte (us)")
-		tlFlag       = fs.Float64("tl", 0.05, "propagation delay per hop (us)")
-		rhoFlag      = fs.Float64("rho", 0.005, "rearrangement time per byte (us)")
-		parallelFlag = fs.Bool("parallel", true, "fan the executor out across GOMAXPROCS workers (results are bit-identical to -parallel=false)")
-		workersFlag  = fs.Int("workers", 0, "parallel executor worker count (0 = GOMAXPROCS)")
+		fabricFlag = fs.String("fabric", "torus", "fabric kind: torus or dragonfly (D3(K,M), shape KxM)")
+		dimsFlag   = fs.String("dims", "12x12", "fabric shape: torus dimensions like 12x8x4, or KxM for -fabric dragonfly")
+		algFlag    = fs.String("alg", "proposed", "algorithm: proposed, direct, ring, factored, logtime, concurrent, virtual, auto (cost-model planner, needs or implies -traffic), or any registered name ("+strings.Join(algorithm.Names(), ", ")+")")
+		mFlag      = fs.Int("m", 64, "block size in bytes")
+		tsFlag     = fs.Float64("ts", 25, "startup time per message (us)")
+		tcFlag     = fs.Float64("tc", 0.01, "transmission time per byte (us)")
+		tlFlag     = fs.Float64("tl", 0.05, "propagation delay per hop (us)")
+		rhoFlag    = fs.Float64("rho", 0.005, "rearrangement time per byte (us)")
 	)
 	trafficFlag := cli.RegisterTraffic(fs)
 	tel := cli.RegisterTelemetry(fs)
@@ -68,7 +63,7 @@ func run(args []string, w io.Writer) error {
 	if err := algorithm.SetCacheDir(*cacheDirFlag); err != nil {
 		return err
 	}
-	execOpt := exec.Options{Serial: !*parallelFlag, Workers: *workersFlag}
+	var execOpt exec.Options
 
 	fab, err := cli.ParseFabric(*fabricFlag, *dimsFlag)
 	if err != nil {
@@ -152,8 +147,7 @@ func run(args []string, w io.Writer) error {
 
 	default:
 		// Everything else resolves through the algorithm registry and
-		// runs through the shared executor, parallel unless
-		// -parallel=false.
+		// runs through the shared executor.
 		if _, err := algorithm.For(alg); err != nil {
 			return fmt.Errorf("unknown algorithm %q (expected concurrent, virtual, or one of %s)",
 				alg, strings.Join(algorithm.Names(), ", "))
@@ -251,7 +245,7 @@ func runExecutor(w io.Writer, tel *cli.Telemetry, alg string, fab topology.Fabri
 	req := tel.StartRequest(label)
 	execOpt.Request = req
 	// Compile once (validation + lowering), then run the compiled fast
-	// path; Serial/Workers/Telemetry stay run-time choices.
+	// path; Telemetry and Request stay run-time choices.
 	pg, err := algorithm.BuildProgram(b, fab, execOpt)
 	if err != nil {
 		return err
@@ -272,15 +266,11 @@ func runExecutor(w io.Writer, tel *cli.Telemetry, alg string, fab topology.Fabri
 	if err := tel.Finish(w, fab, label); err != nil {
 		return err
 	}
-	mode := "parallel"
-	if execOpt.Serial {
-		mode = "serial"
-	}
 	verified := "checked by the shared executor"
 	if res.Replayed {
 		verified = "replayed and delivery-verified by the shared executor"
 	}
-	printReport(w, fmt.Sprintf("%s (%s, %s)", b.Name(), verified, mode), res.Measure, params)
+	printReport(w, fmt.Sprintf("%s (%s)", b.Name(), verified), res.Measure, params)
 	return nil
 }
 

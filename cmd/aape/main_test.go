@@ -56,20 +56,6 @@ func TestRunBaselines(t *testing.T) {
 	}
 }
 
-func TestRunSerialFlag(t *testing.T) {
-	out := runOut(t, "-dims", "8x8", "-alg", "direct", "-parallel=false")
-	if !strings.Contains(out, "serial") {
-		t.Fatalf("-parallel=false not reflected in report title:\n%s", out)
-	}
-	if !strings.Contains(out, "startups:          63") {
-		t.Fatalf("serial path changed the measure:\n%s", out)
-	}
-	out = runOut(t, "-dims", "8x8", "-alg", "direct", "-workers", "3")
-	if !strings.Contains(out, "parallel") {
-		t.Fatalf("default mode should report parallel:\n%s", out)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-dims", "abc"}, &b); err == nil {

@@ -19,7 +19,6 @@
 //
 //	aapebench                                  # default grid, BENCH_exec.json
 //	aapebench -dims 8x8,16x16,4x4x4 -algs proposed,direct
-//	aapebench -serial                          # time the serial replay
 //	aapebench -quick -out -                    # one run per cell, stdout only
 //	aapebench -samples 10                      # spread columns from 10 repeats
 //	aapebench -shapes 16                       # warm-cache sweep from 16 tenants
@@ -80,8 +79,6 @@ func run(args []string, w io.Writer) error {
 		dimsFlag    = fs.String("dims", "8x8,16x16,4x4x4", "comma-separated fabric shapes to sweep")
 		algsFlag    = fs.String("algs", "", "comma-separated algorithms (default: every registered algorithm: "+strings.Join(algorithm.Names(), ", ")+")")
 		outFlag     = fs.String("out", "BENCH_exec.json", "ledger path ('-' = stdout only)")
-		serialFlag  = fs.Bool("serial", false, "time the compiled program's serial replay instead of the parallel one")
-		workersFlag = fs.Int("workers", 0, "parallel executor worker count (0 = GOMAXPROCS)")
 		quickFlag   = fs.Bool("quick", false, "single timed run per cell instead of a full benchmark (for tests and smoke runs)")
 		samplesFlag = fs.Int("samples", 5, "repeat timings per cell behind the ns_min/ns_max/ns_stddev ledger columns (<2 disables)")
 		pprofFlag   = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060) for the sweep's duration")
@@ -136,7 +133,7 @@ func run(args []string, w io.Writer) error {
 	if *algsFlag != "" {
 		algs = strings.Split(*algsFlag, ",")
 	}
-	opt := exec.Options{Serial: *serialFlag, Workers: *workersFlag}
+	var opt exec.Options
 	if *prewarmFlag {
 		if *cacheDirFlag == "" {
 			return fmt.Errorf("-prewarm needs -progcache-dir")
@@ -203,7 +200,7 @@ func run(args []string, w io.Writer) error {
 				return fmt.Errorf("%s on %s: %v", b.Name(), shapeString(dims), err)
 			}
 			entry := benchfmt.Entry{
-				Alg: b.Name(), Dims: dims, Parallel: !opt.Serial, Compiled: true,
+				Alg: b.Name(), Dims: dims, Compiled: true,
 				CompileNs: compileNs, CompileAllocs: compileAllocs,
 				CompileParallelNs: compileParallelNs, Tier2LoadNs: tier2LoadNs,
 				Steps: res.Measure.Steps, Blocks: res.Measure.Blocks,
@@ -572,7 +569,7 @@ func sparseSweep(w io.Writer, fabric, out string, shapes [][]int, algs []string,
 					return fmt.Errorf("%s+%s on %s: %v", b.Name(), spec, shapeString(dims), err)
 				}
 				entry := benchfmt.Entry{
-					Alg: b.Name(), Dims: dims, Traffic: spec, Parallel: !opt.Serial, Compiled: true,
+					Alg: b.Name(), Dims: dims, Traffic: spec, Compiled: true,
 					CompileNs: compileNs, CompileAllocs: compileAllocs,
 					Steps: res.Measure.Steps, Blocks: res.Measure.Blocks,
 					Hops: res.Measure.Hops, Rearranged: res.Measure.RearrangedBlocks,

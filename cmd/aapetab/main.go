@@ -48,8 +48,8 @@ func main() {
 		tlFlag       = flag.Float64("tl", 0.05, "propagation delay per hop (us)")
 		rhoFlag      = flag.Float64("rho", 0.005, "rearrangement time per byte (us)")
 		csvFlag      = flag.Bool("csv", false, "emit comma-separated values instead of an aligned table")
-		parallelFlag = flag.Bool("parallel", true, "run -table replay backends on their parallel paths (bit-identical to serial)")
-		workersFlag  = flag.Int("workers", 0, "parallel worker count (0 = GOMAXPROCS)")
+		parallelFlag = flag.Bool("parallel", true, "run the -table replay event, wormhole and packet simulators on their parallel paths (bit-identical to serial); the executor column always replays in schedule order")
+		workersFlag  = flag.Int("workers", 0, "parallel worker count of the -table replay simulators (0 = GOMAXPROCS)")
 	)
 	trafficFlag := cli.RegisterTraffic(flag.CommandLine)
 	tel := cli.RegisterTelemetry(flag.CommandLine)
@@ -324,10 +324,12 @@ var replayShapes = [][]int{{8, 8}, {12, 12}, {16, 16}}
 
 var replayDragonflyShapes = [][2]int{{2, 3}, {2, 4}, {3, 4}}
 
-// ReplayOpt selects the execution path of every Replay backend.
-// Serial forces the single-goroutine reference implementations;
-// otherwise each backend fans out across Workers goroutines
-// (0 = GOMAXPROCS). Both paths produce bit-identical tables.
+// ReplayOpt selects the execution path of the Replay simulators.
+// Serial forces the single-goroutine reference implementations of the
+// event, wormhole and packet simulators; otherwise each fans out across
+// Workers goroutines (0 = GOMAXPROCS). Both paths produce bit-identical
+// tables. The executor column ignores both: the compiled program
+// always replays in schedule order.
 // Fabric selects the shape sweep ("" or "torus", or "dragonfly"); the
 // flit-level and event backends are torus simulators, so dragonfly
 // rows report the executor's measures with "-" in those columns.
@@ -419,7 +421,7 @@ func Replay(p costmodel.Params, algName string, opt ReplayOpt) (string, error) {
 		asp := req.Stage("arena-acquire")
 		arena := pg.AcquireArena()
 		asp.End()
-		res, err := pg.RunArena(arena, exec.Options{Serial: opt.Serial, Workers: opt.Workers, Telemetry: rec, Request: req})
+		res, err := pg.RunArena(arena, exec.Options{Telemetry: rec, Request: req})
 		if err != nil {
 			return "", err
 		}

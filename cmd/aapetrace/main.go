@@ -48,17 +48,15 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("aapetrace", flag.ContinueOnError)
 	var (
-		fabricFlag   = fs.String("fabric", "torus", "fabric kind: torus or dragonfly (D3(K,M), shape KxM)")
-		dimsFlag     = fs.String("dims", "12x12", "fabric shape: torus dimensions like 12x8x4, or KxM for -fabric dragonfly")
-		algFlag      = fs.String("alg", "proposed", "algorithm to trace: "+strings.Join(algorithm.Names(), ", "))
-		detailFlag   = fs.Bool("detail", false, "print every transfer")
-		limitFlag    = fs.Int("limit", 8, "max transfers shown per step in -detail (0 = all)")
-		nodeFlag     = fs.Int("node", -1, "print one node's history instead")
-		figFlag      = fs.String("figure", "", "render a Figure-1/2-style diagram: groups, phase1..phase3, quad1, quad2")
-		planeFlag    = fs.Int("plane", 0, "Z plane for 3D -figure renderings")
-		jsonFlag     = fs.Bool("json", false, "emit the schedule as JSON instead of text")
-		parallelFlag = fs.Bool("parallel", true, "validate with the parallel executor (bit-identical to serial)")
-		workersFlag  = fs.Int("workers", 0, "parallel executor worker count (0 = GOMAXPROCS)")
+		fabricFlag = fs.String("fabric", "torus", "fabric kind: torus or dragonfly (D3(K,M), shape KxM)")
+		dimsFlag   = fs.String("dims", "12x12", "fabric shape: torus dimensions like 12x8x4, or KxM for -fabric dragonfly")
+		algFlag    = fs.String("alg", "proposed", "algorithm to trace: "+strings.Join(algorithm.Names(), ", "))
+		detailFlag = fs.Bool("detail", false, "print every transfer")
+		limitFlag  = fs.Int("limit", 8, "max transfers shown per step in -detail (0 = all)")
+		nodeFlag   = fs.Int("node", -1, "print one node's history instead")
+		figFlag    = fs.String("figure", "", "render a Figure-1/2-style diagram: groups, phase1..phase3, quad1, quad2")
+		planeFlag  = fs.Int("plane", 0, "Z plane for 3D -figure renderings")
+		jsonFlag   = fs.Bool("json", false, "emit the schedule as JSON instead of text")
 	)
 	trafficFlag := cli.RegisterTraffic(fs)
 	tel := cli.RegisterTelemetry(fs)
@@ -151,7 +149,7 @@ func run(args []string, w io.Writer) error {
 	asp := req.Stage("arena-acquire")
 	arena := pg.AcquireArena()
 	asp.End()
-	if _, err := pg.RunArena(arena, exec.Options{Serial: !*parallelFlag, Workers: *workersFlag, Telemetry: rec, Request: req}); err != nil {
+	if _, err := pg.RunArena(arena, exec.Options{Telemetry: rec, Request: req}); err != nil {
 		return err
 	}
 	pg.ReleaseArena(arena)

@@ -6,6 +6,7 @@ import (
 
 	"torusx/internal/algorithm"
 	"torusx/internal/exec"
+	"torusx/internal/obs"
 	"torusx/internal/topology"
 )
 
@@ -112,7 +113,7 @@ func TestBuildProgramDistinctOptionsDistinctPrograms(t *testing.T) {
 		t.Error("SkipChecks compile aliased the checked compile in the cache")
 	}
 	// Runtime-only options share the compiled program.
-	p3, err := algorithm.BuildProgram(b, tor, exec.Options{Serial: true, Workers: 3})
+	p3, err := algorithm.BuildProgram(b, tor, exec.Options{Request: obs.NewRegistry().StartRequest("opts")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,8 +147,7 @@ func TestPooledArenaStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				a := p.AcquireArena()
-				opt := exec.Options{Serial: (g+i)%2 == 0}
-				res, err := p.RunArena(a, opt)
+				res, err := p.RunArena(a, exec.Options{})
 				if err != nil {
 					t.Errorf("goroutine %d iter %d: %v", g, i, err)
 					return

@@ -3,6 +3,7 @@ package algorithm_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"torusx/internal/algorithm"
@@ -62,9 +63,9 @@ func checkExactDelivery(t *testing.T, name string, m traffic.Matrix, bufs []*blo
 
 // TestPlannerDifferential is the planner's differential wall, run
 // under -race in CI: for every (fabric, generator) cell it replays the
-// planner's pick AND every supporting candidate on both executor
-// paths, requiring exact delivery, serial ≡ parallel buffers, scores
-// that match the replayed measures, measures at or above the sparse
+// planner's pick AND every supporting candidate on the compiled
+// executor, requiring exact delivery, buffers identical to the
+// Reference oracle's, scores that match the replayed measures, measures at or above the sparse
 // cost floor, and a pick whose measured completion is within the
 // model-error budget of the best candidate.
 func TestPlannerDifferential(t *testing.T) {
@@ -94,32 +95,31 @@ func TestPlannerDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: scored without error but did not build: %v", s.Name, err)
 					}
-					serial, err := pg.Run(exec.Options{Serial: true})
+					res, err := pg.Run(exec.Options{})
 					if err != nil {
-						t.Fatalf("%s: serial replay: %v", s.Name, err)
+						t.Fatalf("%s: replay: %v", s.Name, err)
 					}
-					par, err := pg.Run(exec.Options{})
-					if err != nil {
-						t.Fatalf("%s: parallel replay: %v", s.Name, err)
-					}
-					if !serial.Replayed || !par.Replayed {
+					if !res.Replayed {
 						t.Fatalf("%s: sparse replay was structural-only", s.Name)
 					}
-					checkExactDelivery(t, s.Name+"/serial", m, serial.Buffers)
-					checkExactDelivery(t, s.Name+"/parallel", m, par.Buffers)
-					for v := range serial.Buffers {
-						sb, pb := serial.Buffers[v].View(), par.Buffers[v].View()
-						if len(sb) != len(pb) {
-							t.Fatalf("%s: node %d serial/parallel buffer lengths differ: %d vs %d", s.Name, v, len(sb), len(pb))
+					checkExactDelivery(t, s.Name, m, res.Buffers)
+					ref, err := exec.Reference(pg.Schedule(), exec.Options{Traffic: m.Blocks()})
+					if err != nil {
+						t.Fatalf("%s: Reference: %v", s.Name, err)
+					}
+					for v := range ref.Buffers {
+						if !slices.Equal(ref.Buffers[v].View(), res.Buffers[v].View()) {
+							t.Fatalf("%s: node %d delivery differs from the Reference:\nreference: %v\ncompiled:  %v",
+								s.Name, v, ref.Buffers[v].View(), res.Buffers[v].View())
 						}
 					}
-					if serial.Measure != s.Measure || par.Measure != s.Measure {
-						t.Fatalf("%s: replayed measure %+v differs from planner score %+v", s.Name, serial.Measure, s.Measure)
+					if res.Measure != s.Measure {
+						t.Fatalf("%s: replayed measure %+v differs from planner score %+v", s.Name, res.Measure, s.Measure)
 					}
-					if serial.Measure.Blocks < floor {
-						t.Fatalf("%s: measured %d blocks below the sparse floor %d", s.Name, serial.Measure.Blocks, floor)
+					if res.Measure.Blocks < floor {
+						t.Fatalf("%s: measured %d blocks below the sparse floor %d", s.Name, res.Measure.Blocks, floor)
 					}
-					c := p.Completion(serial.Measure)
+					c := p.Completion(res.Measure)
 					if c < best {
 						best = c
 					}
@@ -140,10 +140,10 @@ func TestPlannerDifferential(t *testing.T) {
 	}
 }
 
-// TestPlannerSerialParallelDeterminism replays the planner pick many
-// times on both paths with a shared arena, proving the pick itself is
-// stable and its delivery bit-identical across runs — the property the
-// CI race job leans on.
+// TestPlannerSerialParallelDeterminism re-plans and replays the
+// planner pick many times on one shared arena, proving the pick itself
+// is stable and its delivery exact on every repeated replay — the
+// property the CI race job leans on.
 func TestPlannerSerialParallelDeterminism(t *testing.T) {
 	f := topology.MustNew(8, 8)
 	m := traffic.Uniform(f.Nodes(), 0.2, 11)
@@ -154,6 +154,7 @@ func TestPlannerSerialParallelDeterminism(t *testing.T) {
 	}
 	a := first.Program.AcquireArena()
 	defer first.Program.ReleaseArena(a)
+	var want [][]block.Block // run 0's delivery, copied out of the arena
 	for i := 0; i < 8; i++ {
 		plan, err := algorithm.PlanSparse(f, m, p, exec.Options{})
 		if err != nil {
@@ -165,11 +166,22 @@ func TestPlannerSerialParallelDeterminism(t *testing.T) {
 		if plan.Program != first.Program {
 			t.Fatalf("run %d: re-planning recompiled the winner instead of hitting the program cache", i)
 		}
-		res, err := first.Program.RunArena(a, exec.Options{Serial: i%2 == 0})
+		res, err := first.Program.RunArena(a, exec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkExactDelivery(t, fmt.Sprintf("run%d", i), m, res.Buffers)
+		if want == nil {
+			for _, buf := range res.Buffers {
+				want = append(want, buf.All())
+			}
+			continue
+		}
+		for v, buf := range res.Buffers {
+			if !slices.Equal(buf.View(), want[v]) {
+				t.Fatalf("run %d: node %d delivery differs from run 0", i, v)
+			}
+		}
 	}
 }
 

@@ -39,7 +39,10 @@ type Entry struct {
 	// internal/traffic.ParseSpec); empty for the dense all-to-all
 	// sweeps, so pre-sparse ledgers decode unchanged.
 	Traffic string `json:"traffic,omitempty"`
-	// Parallel records whether the executor ran its fan-out path.
+	// Parallel records whether the executor ran a fan-out replay. The
+	// compiled executor has one schedule-order replay, so current
+	// ledgers write false; the field stays so schema v1 ledgers keep
+	// decoding.
 	Parallel bool `json:"parallel"`
 	// Compiled records whether the timing is the compiled
 	// (compile-once, replay-many) fast path: the schedule was lowered

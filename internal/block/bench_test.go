@@ -50,12 +50,3 @@ func BenchmarkInsertAt(b *testing.B) {
 		buf.InsertAt(2048, batch)
 	}
 }
-
-func BenchmarkChecksum(b *testing.B) {
-	blk := Block{Origin: 123, Dest: 456}
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink ^= blk.Checksum()
-	}
-	_ = sink
-}

@@ -3,10 +3,9 @@
 //
 // In an N-node system, node i starts with N distinct blocks
 // B[i,1..N], one for each destination, and must end with the N blocks
-// B[1..N,i]. A block is identified by its (Origin, Dest) pair; its
-// m-byte payload is modelled by a deterministic checksum so the
-// simulators can verify data integrity without materialising payload
-// bytes.
+// B[1..N,i]. A block is identified by its (Origin, Dest) pair. The
+// simulators move and verify that identity; they never materialise the
+// m payload bytes.
 //
 // Buffers are ordered: the paper's cost model charges a
 // message-rearrangement step whenever the blocks a node must transmit
@@ -30,24 +29,6 @@ type Block struct {
 
 func (b Block) String() string {
 	return fmt.Sprintf("B[%d,%d]", b.Origin, b.Dest)
-}
-
-// Checksum returns a deterministic payload fingerprint for b, standing
-// in for the m-byte payload of the paper's model. FNV-1a over the two
-// ids.
-func (b Block) Checksum() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, v := range [2]uint64{uint64(b.Origin), uint64(b.Dest)} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	return h
 }
 
 // Buffer is one node's ordered data array of blocks.

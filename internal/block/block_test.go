@@ -7,27 +7,6 @@ import (
 	"torusx/internal/topology"
 )
 
-func TestChecksumDeterministicAndDistinct(t *testing.T) {
-	a := Block{Origin: 1, Dest: 2}
-	b := Block{Origin: 2, Dest: 1}
-	if a.Checksum() != (Block{Origin: 1, Dest: 2}).Checksum() {
-		t.Fatal("checksum not deterministic")
-	}
-	if a.Checksum() == b.Checksum() {
-		t.Fatal("swapped origin/dest should differ")
-	}
-	seen := make(map[uint64]Block)
-	for o := 0; o < 64; o++ {
-		for d := 0; d < 64; d++ {
-			blk := Block{Origin: topology.NodeID(o), Dest: topology.NodeID(d)}
-			if prev, dup := seen[blk.Checksum()]; dup {
-				t.Fatalf("checksum collision: %v and %v", prev, blk)
-			}
-			seen[blk.Checksum()] = blk
-		}
-	}
-}
-
 func TestBlockString(t *testing.T) {
 	if got := (Block{Origin: 3, Dest: 7}).String(); got != "B[3,7]" {
 		t.Fatalf("String = %q", got)

@@ -77,9 +77,6 @@ type Counters struct {
 	// SumMaxHops is the propagation cost in hop units: the sum over
 	// steps of the step's hop distance.
 	SumMaxHops int
-	// TotalBlockHops is the aggregate link traffic: sum over transfers
-	// of blocks × hops.
-	TotalBlockHops int
 
 	// RearrangeBoundaries counts inter-phase rearrangement steps
 	// (paper: n+1).
@@ -228,18 +225,6 @@ func (ex *executor) run() error {
 	return nil
 }
 
-// groupRemaining returns the number of stride-4 ring hops block b must
-// still travel along move m from the holder at coordinate self before
-// reaching its proxy position in that dimension.
-func (ex *executor) groupRemaining(self topology.Coord, dest topology.Coord, m plan.Move) int {
-	proxyK := (dest[m.Dim]/topology.GroupStride)*topology.GroupStride + self[m.Dim]%topology.GroupStride
-	d := proxyK - self[m.Dim]
-	if m.Dir == topology.Neg {
-		d = -d
-	}
-	return ex.t.Wrap(m.Dim, d) / topology.GroupStride
-}
-
 // arrangeGroup sorts every node's array ascending by remaining ring
 // distance for group phase p, so that every send of the phase is a
 // contiguous suffix.
@@ -247,8 +232,9 @@ func (ex *executor) arrangeGroup(p int, charged bool) {
 	for i, buf := range ex.bufs {
 		self := ex.coords[i]
 		m := ex.groups[i][p]
+		size := ex.t.Dim(m.Dim)
 		key := func(b block.Block) int {
-			return ex.groupRemaining(self, ex.coords[b.Dest], m)
+			return plan.GroupRemaining(self, ex.coords[b.Dest], m, size)
 		}
 		if charged && !ex.opt.SkipRearrangeCharges {
 			buf.ArrangeByKey(key)
@@ -274,8 +260,9 @@ func (ex *executor) groupPhase(p int) error {
 		step, err := ex.execStep(ph.Name, s, func(i int) (plan.Move, int, func(block.Block) bool) {
 			self := ex.coords[i]
 			m := ex.groups[i][p]
+			size := ex.t.Dim(m.Dim)
 			pred := func(b block.Block) bool {
-				return ex.groupRemaining(self, ex.coords[b.Dest], m) > 0
+				return plan.GroupRemaining(self, ex.coords[b.Dest], m, size) > 0
 			}
 			return m, topology.GroupStride, pred
 		})
@@ -286,38 +273,6 @@ func (ex *executor) groupPhase(p int) error {
 	}
 	ex.sched.Phases = append(ex.sched.Phases, ph)
 	return nil
-}
-
-// grayRank maps a bit string (most significant first) to its position
-// in the binary-reflected Gray-code sequence, the array order that
-// keeps every step's send set contiguous during the quad and bit
-// phases (the paper's B0,B1,B3,B2 arrangement generalized to n
-// dimensions).
-func grayRank(bits []int) int {
-	rank, cur := 0, 0
-	for _, b := range bits {
-		cur ^= b
-		rank = rank<<1 | cur
-	}
-	return rank
-}
-
-// quadBitDiff reports whether dest lies in the other half of the
-// 4-window along dim relative to self.
-func quadBitDiff(self, dest topology.Coord, dim int) int {
-	if (self[dim]%topology.GroupStride)/2 != (dest[dim]%topology.GroupStride)/2 {
-		return 1
-	}
-	return 0
-}
-
-// lowBitDiff reports whether dest differs from self in the low bit of
-// dim.
-func lowBitDiff(self, dest topology.Coord, dim int) int {
-	if self[dim]%2 != dest[dim]%2 {
-		return 1
-	}
-	return 0
 }
 
 // arrangeQuad sorts every node's array into the Gray order of the
@@ -331,9 +286,9 @@ func (ex *executor) arrangeQuad() {
 		key := func(b block.Block) int {
 			dest := ex.coords[b.Dest]
 			for j, dim := range order {
-				bits[j] = quadBitDiff(self, dest, dim)
+				bits[j] = plan.QuadBit(self, dest, dim)
 			}
-			return grayRank(bits)
+			return plan.GrayRank(bits)
 		}
 		if ex.opt.SkipRearrangeCharges {
 			buf.SortByKey(key)
@@ -356,7 +311,7 @@ func (ex *executor) quadPhase() error {
 			self := ex.coords[i]
 			m := plan.QuadMove(self, s)
 			pred := func(b block.Block) bool {
-				return quadBitDiff(self, ex.coords[b.Dest], m.Dim) == 1
+				return plan.QuadBit(self, ex.coords[b.Dest], m.Dim) == 1
 			}
 			return m, 2, pred
 		})
@@ -379,9 +334,9 @@ func (ex *executor) arrangeBit() {
 		key := func(b block.Block) int {
 			dest := ex.coords[b.Dest]
 			for dim := 0; dim < nd; dim++ {
-				bits[dim] = lowBitDiff(self, dest, dim)
+				bits[dim] = plan.LowBit(self, dest, dim)
 			}
-			return grayRank(bits)
+			return plan.GrayRank(bits)
 		}
 		if ex.opt.SkipRearrangeCharges {
 			buf.SortByKey(key)
@@ -404,7 +359,7 @@ func (ex *executor) bitPhase() error {
 			self := ex.coords[i]
 			m := plan.BitMove(self, s)
 			pred := func(b block.Block) bool {
-				return lowBitDiff(self, ex.coords[b.Dest], m.Dim) == 1
+				return plan.LowBit(self, ex.coords[b.Dest], m.Dim) == 1
 			}
 			return m, 1, pred
 		})
@@ -458,7 +413,6 @@ func (ex *executor) execStep(phase string, index int, assign func(i int) (plan.M
 			tr.Payload = append([]block.Block(nil), taken...)
 		}
 		step.Transfers = append(step.Transfers, tr)
-		ex.ctr.TotalBlockHops += len(taken) * hops
 		deliveries = append(deliveries, delivery{dst: dst, blocks: taken})
 	}
 	for _, d := range deliveries {

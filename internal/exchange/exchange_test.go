@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"torusx/internal/plan"
 	"torusx/internal/topology"
 	"torusx/internal/verify"
 )
@@ -327,15 +328,15 @@ func TestGrayRank(t *testing.T) {
 		{0, 0}: 0, {0, 1}: 1, {1, 1}: 2, {1, 0}: 3,
 	}
 	for bits, rank := range want {
-		if got := grayRank(bits[:]); got != rank {
-			t.Fatalf("grayRank(%v) = %d, want %d", bits, got, rank)
+		if got := plan.GrayRank(bits[:]); got != rank {
+			t.Fatalf("plan.GrayRank(%v) = %d, want %d", bits, got, rank)
 		}
 	}
 	// 3 bits: positions of 000..111 in BRGC order.
 	seq := [][]int{{0, 0, 0}, {0, 0, 1}, {0, 1, 1}, {0, 1, 0}, {1, 1, 0}, {1, 1, 1}, {1, 0, 1}, {1, 0, 0}}
 	for pos, bits := range seq {
-		if got := grayRank(bits); got != pos {
-			t.Fatalf("grayRank(%v) = %d, want %d", bits, got, pos)
+		if got := plan.GrayRank(bits); got != pos {
+			t.Fatalf("plan.GrayRank(%v) = %d, want %d", bits, got, pos)
 		}
 	}
 }

@@ -22,8 +22,8 @@ import (
 //     form, so decoding on a little-endian host is a handful of
 //     bounds-checked slice views over the file buffer (zero copies;
 //     big-endian hosts take an element-wise fallback). A decoded
-//     program replays serially and in parallel without ever
-//     rebuilding the schedule it was compiled from.
+//     program replays without ever rebuilding the schedule it was
+//     compiled from.
 //   - The cold section holds what only telemetry, re-encoding and
 //     Program.Schedule need — phase names, declared block counts,
 //     route legs and the payload ids — and is not parsed at decode
@@ -52,7 +52,6 @@ import (
 //	transfers numTransfers x 6 i32 (src dst payOff payLen linkOff linkLen)
 //	perDest   n x i32            | only when flagReplay
 //	traffic   numTraffic x i32   | only when flagReplay and not flagFullTraffic
-//	parallelErr u32 len + bytes, padded   | only when flagParallelErr
 //	descriptor section            | only when flagReplay:
 //	  u32 x4: numDesc, numTailFull, numTailResid, logSize
 //	  u64 descBytes
@@ -89,13 +88,13 @@ const CodecVersion = 3
 
 const codecMagic = "TXPG"
 
-// Flag bits. Bits 1 and 4 carried meanings in earlier versions; they
-// stay unassigned so an old file can never be misread as a newer one.
+// Flag bits. Bits 1, 3 and 4 carried meanings in earlier builds; they
+// stay unassigned, so an old file that sets one fails with "unknown
+// flags" (a disk-tier miss and a recompile) instead of being misread.
 const (
 	flagReplay      = 1 << 0
 	flagFullTraffic = 1 << 2
-	flagParallelErr = 1 << 3
-	flagKnown       = flagReplay | flagFullTraffic | flagParallelErr
+	flagKnown       = flagReplay | flagFullTraffic
 )
 
 // maxDecodeBlocks bounds the dense block-id space (n*n) a decoder will
@@ -228,9 +227,6 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 	if p.fullTraffic {
 		flags |= flagFullTraffic
 	}
-	if p.parallelErr != nil {
-		flags |= flagParallelErr
-	}
 	numTraffic := 0
 	if p.replay && !p.fullTraffic {
 		numTraffic = len(p.trafficIDs)
@@ -347,12 +343,6 @@ func EncodeProgram(p *Program, optFP uint64) ([]byte, error) {
 		if !p.fullTraffic {
 			b = appendI32s(b, p.trafficIDs)
 		}
-	}
-	if p.parallelErr != nil {
-		msg := p.parallelErr.Error()
-		b = appendU32(b, uint32(len(msg)))
-		b = append(b, msg...)
-		b = pad4(b)
 	}
 	if p.replay {
 		b = appendU32(b, uint32(len(p.descBacking)))
@@ -477,9 +467,9 @@ func (r *creader) count(elem int) int {
 // compiled on and optFP the compile-options fingerprint used at
 // encode time; both are checked against the embedded header so a
 // stale or misfiled cache artifact is rejected, not replayed. The
-// decoded program replays serially and in parallel immediately; its
-// schedule (needed only for telemetry and re-encoding) materializes
-// lazily on first Schedule() call.
+// decoded program replays immediately; its schedule (needed only for
+// telemetry and re-encoding) materializes lazily on first Schedule()
+// call.
 //
 // On little-endian hosts the transfer, descriptor and id tables are views
 // over data — decode cost is the header walk, the CRC check and the
@@ -556,13 +546,6 @@ func DecodeProgram(data []byte, f topology.Fabric, optFP uint64) (*Program, erro
 		perDest = asInt32s(r.take(n * 4))
 		if !fullTraffic {
 			trafficIDs = asInt32s(r.take(numTraffic * 4))
-		}
-	}
-	if flags&flagParallelErr != 0 {
-		msg := r.take(r.count(1))
-		r.pad4()
-		if r.err == nil {
-			p.parallelErr = errors.New(string(msg))
 		}
 	}
 	var (

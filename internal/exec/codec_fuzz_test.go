@@ -79,7 +79,7 @@ func FuzzProgramDecode(f *testing.F) {
 
 // FuzzDescriptorDecode extends the decode fuzzing contract to the
 // descriptor section: any program the decoder accepts must not only
-// materialize safely, it must REPLAY safely — serial, parallel, and
+// materialize safely, it must REPLAY safely — through RunArena and
 // through ReplayInto — because the descriptor plan is executed with
 // unchecked gathers whose every index the decoder promised to have
 // bounds-validated. A panic or out-of-range access here means a
@@ -125,16 +125,12 @@ func FuzzDescriptorDecode(f *testing.F) {
 			// Replay errors are fine (the executor's own validation may
 			// reject what the decoder structurally accepted); panics and
 			// wild memory accesses are the bug class under test.
-			if _, err := pg.Run(exec.Options{Serial: true}); err != nil {
-				return
-			}
-			if _, err := pg.Run(exec.Options{Workers: 2}); err != nil {
+			if _, err := pg.Run(exec.Options{}); err != nil {
 				return
 			}
 			a := pg.NewArena()
 			dst := make([]int32, pg.DeliverySize())
-			_ = pg.ReplayInto(a, dst, exec.Options{Serial: true})
-			_ = pg.ReplayInto(a, dst, exec.Options{Workers: 2})
+			_ = pg.ReplayInto(a, dst)
 		}
 		check(data)
 		if len(data) >= 8 {

@@ -113,9 +113,9 @@ func TestProgramCodecRoundTripStable(t *testing.T) {
 
 // TestDecodedProgramDifferentialReplay: a program decoded from its
 // binary form must replay exactly like the freshly compiled one — and
-// like the Reference oracle — on the serial path, the parallel path
-// and a reused arena, with identical delivery matrices and identical
-// canonical telemetry streams.
+// like the Reference oracle — on a fresh arena and repeatedly on a
+// reused one, with identical delivery matrices and identical canonical
+// telemetry streams.
 func TestDecodedProgramDifferentialReplay(t *testing.T) {
 	for name, sc := range codecPrograms(t) {
 		t.Run(name, func(t *testing.T) {
@@ -140,10 +140,9 @@ func TestDecodedProgramDifferentialReplay(t *testing.T) {
 				label string
 				run   func() (*exec.Result, error)
 			}{
-				{"serial", func() (*exec.Result, error) { return dec.Run(exec.Options{Serial: true}) }},
-				{"parallel", func() (*exec.Result, error) { return dec.Run(exec.Options{}) }},
-				{"arena-serial", func() (*exec.Result, error) { return dec.RunArena(arena, exec.Options{Serial: true}) }},
-				{"arena-parallel", func() (*exec.Result, error) { return dec.RunArena(arena, exec.Options{Workers: 3}) }},
+				{"run", func() (*exec.Result, error) { return dec.Run(exec.Options{}) }},
+				{"arena-first", func() (*exec.Result, error) { return dec.RunArena(arena, exec.Options{}) }},
+				{"arena-repeat", func() (*exec.Result, error) { return dec.RunArena(arena, exec.Options{}) }},
 			}
 			for _, r := range runs {
 				got, err := r.run()
@@ -172,7 +171,7 @@ func recordProgram(t *testing.T, pg *exec.Program) []telemetry.Event {
 	t.Helper()
 	sink := &telemetry.MemorySink{}
 	rec := telemetry.New(sink, costmodel.T3D(64))
-	if _, err := pg.Run(exec.Options{Serial: true, Telemetry: rec}); err != nil {
+	if _, err := pg.Run(exec.Options{Telemetry: rec}); err != nil {
 		t.Fatal(err)
 	}
 	return sink.Events()
@@ -304,21 +303,21 @@ func TestProgramCodecGolden(t *testing.T) {
 			// committed bytes must deliver the same matrix as the fresh
 			// compile, through the descriptor path and straight into a
 			// caller buffer.
-			ref, err := pg.Run(exec.Options{Serial: true})
+			ref, err := pg.Run(exec.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := dec.Run(exec.Options{Serial: true})
+			got, err := dec.Run(exec.Options{})
 			if err != nil {
 				t.Fatalf("golden replay: %v", err)
 			}
 			sameBuffers(t, ref.Buffers, got.Buffers)
 			refDst := make([]int32, pg.DeliverySize())
-			if err := pg.ReplayInto(pg.NewArena(), refDst, exec.Options{Serial: true}); err != nil {
+			if err := pg.ReplayInto(pg.NewArena(), refDst); err != nil {
 				t.Fatal(err)
 			}
 			dst := make([]int32, dec.DeliverySize())
-			if err := dec.ReplayInto(dec.NewArena(), dst, exec.Options{Serial: true}); err != nil {
+			if err := dec.ReplayInto(dec.NewArena(), dst); err != nil {
 				t.Fatalf("golden ReplayInto: %v", err)
 			}
 			for i := range refDst {
@@ -350,6 +349,36 @@ func TestProgramCodecStaleVersionsRejected(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "program file version") {
 				t.Fatalf("stale file rejected with %q, want the version error", err)
+			}
+		})
+	}
+}
+
+// TestProgramCodecRetiredFlagRejected: bit 3 of the flags byte marked a
+// v3 file carrying a forwarding-verdict section, which this build
+// neither writes nor reads. The committed v3 goldens carry flags 0x05
+// (replay, full traffic); with bit 3 set and the CRC resealed, a golden
+// must fail DecodeProgram with the unknown-flags error, which the disk
+// tier turns into a miss and a recompile.
+func TestProgramCodecRetiredFlagRejected(t *testing.T) {
+	tor := topology.MustNew(4, 4)
+	for _, alg := range []string{"direct", "factored"} {
+		t.Run(alg, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join("testdata", "program_v3_"+alg+"4x4.bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if raw[6] != 0x05 {
+				t.Fatalf("committed v3 golden has flags %#x, want 0x05", raw[6])
+			}
+			raw[6] |= 1 << 3
+			binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+			_, err = exec.DecodeProgram(raw, tor, 0)
+			if err == nil {
+				t.Fatal("file with the retired flag decoded")
+			}
+			if !strings.Contains(err.Error(), "unknown flags 0x8") {
+				t.Fatalf("retired flag rejected with %q, want the unknown-flags error", err)
 			}
 		})
 	}

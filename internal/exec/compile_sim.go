@@ -22,17 +22,14 @@ import (
 // sorted by stamp, with no buffers materialized at all. The same walk
 // emits each transfer's insert/extract events straight into per-node
 // event runs (the per-node counts were taken during Compile's counting
-// pass) and stamps the arrival count each node had when a step first
-// touched it, which yields the intra-step forwarding verdict. The
-// holder table it leaves behind is the final placement, so delivery is
-// checked from it directly. Pass 2 (descriptor.go) replays the per-node
-// event runs in parallel to build the descriptor plan.
+// pass). The holder table it leaves behind is the final placement, so
+// delivery is checked from it directly. Pass 2 (descriptor.go) replays
+// the per-node event runs in parallel to build the descriptor plan.
 //
 // Error parity: pass 1 reports coherence errors at exactly the point a
 // serial replay would (first transfer in schedule order, first block
 // in payload order); delivery errors reduce to the lowest node index
-// (and, within a node, the earliest-arriving misdelivered block) and
-// the forwarding verdict to the lowest global transfer ordinal, all
+// (and, within a node, the earliest-arriving misdelivered block),
 // matching a serial left-to-right walk.
 
 // opRec is one insert/extract event in a node's pass-2 walk: a flat
@@ -88,11 +85,10 @@ func acquireIDSlot(numBlocks int) []int32 {
 // compileReplay resolves the traffic matrix to dense ids, validates the
 // full replay chain once with the serial reference semantics (each
 // transfer's extraction interleaved with the previous transfer's
-// insertion), verifies final delivery, records the intra-step
-// forwarding verdict, and builds the descriptor plan. After this pass
-// a run is a pure, check-free id shuffle. opOff holds the per-node
-// prefix offsets of insert/extract event counts (from Compile's
-// counting pass); numT is the total transfer count.
+// insertion), verifies final delivery, and builds the descriptor plan.
+// After this pass a run is a pure, check-free id shuffle. opOff holds
+// the per-node prefix offsets of insert/extract event counts (from
+// Compile's counting pass); numT is the total transfer count.
 func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int32, numT int) error {
 	n := p.n
 	traffic := opt.Traffic
@@ -195,15 +191,6 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 	opBacking := cs.opBacking[:opOff[n]]
 	curOp := make([]int32, n)
 	copy(curOp, opOff[:n])
-	// nodeStep is the last step ordinal (+1, 0 = none) whose payload
-	// touched each node, and stepStart the node's arrival count when
-	// that step first touched it: a block extracted with a stamp at or
-	// above stepStart arrived within the extracting step — a forward the
-	// two-barrier parallel replay cannot execute. fwd* record the first
-	// one in schedule order.
-	nodeStep := make([]int32, n)
-	stepStart := make([]int32, n)
-	fwdPS, fwdSrc, fwdID := (*pstep)(nil), 0, int32(0)
 
 	g := 0
 	for si := range p.steps {
@@ -216,13 +203,6 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 			}
 			pay := payloadBacking[pt.payOff : pt.payOff+pt.payLen]
 			src, dst := int(pt.src), int(pt.dst)
-			sv := int32(si) + 1
-			if nodeStep[src] != sv {
-				nodeStep[src], stepStart[src] = sv, arrivals[src]
-			}
-			if nodeStep[dst] != sv {
-				nodeStep[dst], stepStart[dst] = sv, arrivals[dst]
-			}
 			flags := opExtract
 			if len(pay) == 1 {
 				// Single-block transfer (the whole of a direct exchange):
@@ -233,9 +213,6 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 				if int32(h>>32) != int32(src) {
 					return fmt.Errorf("exec: phase %q step %d: node %d transmits %v it does not hold",
 						ps.phase.Name, ps.stepIndex, src, block.Block{Origin: topology.NodeID(int(id) / n), Dest: topology.NodeID(int(id) % n)})
-				}
-				if fwdPS == nil && int32(uint32(h)) >= stepStart[src] {
-					fwdPS, fwdSrc, fwdID = ps, src, id
 				}
 				firstArr[g] = id
 				hs[id] = uint64(uint32(dst))<<32 | uint64(uint32(arrivals[dst]))
@@ -248,9 +225,6 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 				// so the sorted copy is the exception).
 				inOrder := true
 				prev := int32(-1)
-				// fwdCand is the earliest-arriving block of this payload that
-				// arrived within the current step, -1 when none.
-				fwdCand, fwdSt := int32(-1), int32(0)
 				for _, id := range pay {
 					h := hs[id]
 					if int32(h>>32) != int32(src) {
@@ -263,13 +237,7 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 					} else {
 						prev = st
 					}
-					if st >= stepStart[src] && (fwdCand < 0 || st < fwdSt) {
-						fwdCand, fwdSt = id, st
-					}
 					hs[id] = h&0xFFFFFFFF | hsInFlight
-				}
-				if fwdPS == nil && fwdCand >= 0 {
-					fwdPS, fwdSrc, fwdID = ps, src, fwdCand
 				}
 				ord := pay
 				if !inOrder {
@@ -330,10 +298,6 @@ func (p *Program) compileReplay(opt Options, payloadBacking []int32, opOff []int
 			return fmt.Errorf("exec: node %d holds misdelivered block %v", v,
 				block.Block{Origin: topology.NodeID(int(id) / n), Dest: topology.NodeID(int(id) % n)})
 		}
-	}
-	if fwdPS != nil {
-		p.parallelErr = fmt.Errorf("exec: phase %q step %d: node %d forwards %v within the step that delivered it; the two-barrier parallel replay cannot execute this schedule (run with Options.Serial)",
-			fwdPS.phase.Name, fwdPS.stepIndex, fwdSrc, block.Block{Origin: topology.NodeID(int(fwdID) / n), Dest: topology.NodeID(int(fwdID) % n)})
 	}
 
 	// ---- Pass 2: the descriptor replay plan (the append-only log

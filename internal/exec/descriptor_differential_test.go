@@ -2,8 +2,8 @@
 // descriptor plan — the ρ-rewrite elisions, the strided gathers, the
 // direct last-hop deliveries — must be observably indistinguishable
 // from the Reference oracle, on every (fabric, algorithm) pair the
-// registry supports, serially and in parallel, and through
-// ReplayInto's caller-owned destination buffers.
+// registry supports, through RunArena and through ReplayInto's
+// caller-owned destination buffers.
 package exec_test
 
 import (
@@ -60,8 +60,8 @@ func sameIDs(t *testing.T, label string, want, got []int32) {
 
 // TestDescriptorDifferentialReplay is the descriptor plan's contract:
 // on every supported (fabric, algorithm) registry pair, descriptor
-// replay — serial and parallel — must deliver byte-identically to the
-// Reference oracle, the plan must pass its static invariants, and
+// replay — first and repeated runs on one arena — must deliver
+// byte-identically to the Reference oracle, the plan must pass its static invariants, and
 // ReplayInto must write the same ids into a caller-owned buffer. Runs
 // under -race in CI's differential job.
 func TestDescriptorDifferentialReplay(t *testing.T) {
@@ -88,21 +88,13 @@ func TestDescriptorDifferentialReplay(t *testing.T) {
 					t.Fatalf("descriptor plan: %v", err)
 				}
 				arena := pg.NewArena()
-				runs := []struct {
-					label string
-					opt   exec.Options
-				}{
-					{"desc-serial", exec.Options{Serial: true}},
-					{"desc-parallel", exec.Options{}},
-					{"desc-workers-3", exec.Options{Workers: 3}},
-				}
-				for _, r := range runs {
-					got, err := pg.RunArena(arena, r.opt)
+				for _, label := range []string{"desc-first", "desc-repeat"} {
+					got, err := pg.RunArena(arena, exec.Options{})
 					if err != nil {
-						t.Fatalf("%s: %v", r.label, err)
+						t.Fatalf("%s: %v", label, err)
 					}
 					if got.Measure != ref.Measure || got.MaxSharing != ref.MaxSharing || got.Replayed != ref.Replayed {
-						t.Fatalf("%s: Measure %+v sharing %d replayed %v, want %+v %d %v", r.label,
+						t.Fatalf("%s: Measure %+v sharing %d replayed %v, want %+v %d %v", label,
 							got.Measure, got.MaxSharing, got.Replayed, ref.Measure, ref.MaxSharing, ref.Replayed)
 					}
 					sameBuffers(t, ref.Buffers, got.Buffers)
@@ -111,27 +103,21 @@ func TestDescriptorDifferentialReplay(t *testing.T) {
 					return // structural program: no deliveries to compare
 				}
 				refIDs := flatIDs(ref.Buffers)
-				// ReplayInto: user-owned destination, all paths, same ids.
+				// ReplayInto: user-owned destination, first and repeated
+				// runs, same ids.
 				dst := make([]int32, pg.DeliverySize())
-				into := []struct {
-					label string
-					opt   exec.Options
-				}{
-					{"into-serial", exec.Options{Serial: true}},
-					{"into-parallel", exec.Options{Workers: 2}},
-				}
-				for _, r := range into {
+				for _, label := range []string{"into-first", "into-repeat"} {
 					for i := range dst {
 						dst[i] = -1
 					}
-					if err := pg.ReplayInto(arena, dst, r.opt); err != nil {
-						t.Fatalf("%s: %v", r.label, err)
+					if err := pg.ReplayInto(arena, dst); err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
-					sameIDs(t, r.label, refIDs, dst)
+					sameIDs(t, label, refIDs, dst)
 				}
 				// A replay after ReplayInto must still be clean: the direct
 				// deliveries bypassed the arena, not corrupted it.
-				again, err := pg.RunArena(arena, exec.Options{Serial: true})
+				again, err := pg.RunArena(arena, exec.Options{})
 				if err != nil {
 					t.Fatalf("replay after ReplayInto: %v", err)
 				}
@@ -246,61 +232,57 @@ func TestDescriptorRhoElision(t *testing.T) {
 			pg.BytesMoved(), ringBytes)
 	}
 	arena := pg.NewArena()
-	for _, r := range []struct {
-		label string
-		opt   exec.Options
-	}{
-		{"desc-serial", exec.Options{Serial: true}},
-		{"desc-parallel", exec.Options{Workers: 3}},
-	} {
-		got, err := pg.RunArena(arena, r.opt)
-		if err != nil {
-			t.Fatalf("%s: %v", r.label, err)
-		}
-		sameBuffers(t, ref.Buffers, got.Buffers)
+	got, err := pg.RunArena(arena, exec.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameBuffers(t, ref.Buffers, got.Buffers)
 	dst := make([]int32, pg.DeliverySize())
-	if err := pg.ReplayInto(arena, dst, exec.Options{Serial: true}); err != nil {
+	if err := pg.ReplayInto(arena, dst); err != nil {
 		t.Fatal(err)
 	}
 	sameIDs(t, "replay-into", flatIDs(ref.Buffers), dst)
 }
 
 // TestReplayIntoZeroAlloc pins the acceptance bar for user-owned
-// destination buffers: on a rewrite-only program (every executed
-// transfer delivers directly — the single-phase direct exchange) a
-// warm serial ReplayInto performs zero allocations and touches no
-// arena scratch.
+// destination buffers: a warm ReplayInto performs zero allocations on
+// every payload-carrying registry program at 8x8 — rewrite-only ones
+// (every executed transfer delivers directly, as in the single-phase
+// direct exchange) and ones that gather through the arena log alike.
 func TestReplayIntoZeroAlloc(t *testing.T) {
 	tor := topology.MustNew(8, 8)
-	b, err := algorithm.For("direct")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := b.BuildSchedule(tor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := exec.Compile(sc, exec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := pg.Stats(); !st.RewriteOnly {
-		t.Fatalf("direct@8x8 is not rewrite-only: %+v", st)
-	}
-	arena := pg.NewArena()
-	dst := make([]int32, pg.DeliverySize())
-	// Warm once: the arena's log and init region are built lazily.
-	if err := pg.ReplayInto(arena, dst, exec.Options{Serial: true}); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := pg.ReplayInto(arena, dst, exec.Options{Serial: true}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm rewrite-only ReplayInto allocates %.0f objects/op, want 0", allocs)
+	for _, name := range []string{"proposed-sim", "direct", "ring", "factored", "logtime"} {
+		t.Run(name, func(t *testing.T) {
+			b, err := algorithm.For(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := b.BuildSchedule(tor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pg, err := exec.Compile(sc, exec.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pg.Replayable() {
+				t.Fatalf("%s@8x8 carries no payloads", name)
+			}
+			arena := pg.NewArena()
+			dst := make([]int32, pg.DeliverySize())
+			if err := pg.ReplayInto(arena, dst); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := pg.ReplayInto(arena, dst); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("warm ReplayInto allocates %.0f objects/op, want 0 (rewrite-only: %v)",
+					allocs, pg.Stats().RewriteOnly)
+			}
+		})
 	}
 }
 
@@ -325,7 +307,7 @@ func TestBytesMovedMatchesTelemetry(t *testing.T) {
 		want := pg.BytesMoved()
 		sink := &telemetry.MemorySink{}
 		rec := telemetry.New(sink, costmodel.T3D(64))
-		res, err := pg.Run(exec.Options{Serial: true, Telemetry: rec})
+		res, err := pg.Run(exec.Options{Telemetry: rec})
 		if err != nil {
 			t.Fatal(err)
 		}

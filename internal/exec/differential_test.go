@@ -1,9 +1,9 @@
 // The differential test layer: the one-shot exec.Run — Compile, then
-// a parallel replay of the Program — must be indistinguishable from
-// the Reference oracle on every registered algorithm: identical
-// Measure counters, identical MaxSharing, identical delivery matrices
-// (same blocks, same buffer order), regardless of worker count. This
-// is the contract that lets every caller run on the compiled executor.
+// a replay of the Program — must be indistinguishable from the
+// Reference oracle on every registered algorithm: identical Measure
+// counters, identical MaxSharing, identical delivery matrices (same
+// blocks, same buffer order). This is the contract that lets every
+// caller run on the compiled executor.
 package exec_test
 
 import (
@@ -22,12 +22,12 @@ import (
 // sweep: square, cubic, and rectangular.
 var differentialShapes = [][]int{{8, 8}, {4, 4, 4}, {12, 8}}
 
-// runBoth executes sc on the Reference oracle and through exec.Run
-// with the given worker count, and reports both outcomes.
-func runBoth(t *testing.T, sc *schedule.Schedule, workers int) (ref, got *exec.Result) {
+// runBoth executes sc on the Reference oracle and through exec.Run,
+// and reports both outcomes.
+func runBoth(t *testing.T, sc *schedule.Schedule) (ref, got *exec.Result) {
 	t.Helper()
 	ref, refErr := exec.Reference(sc, exec.Options{})
-	got, err := exec.Run(sc, exec.Options{Workers: workers})
+	got, err := exec.Run(sc, exec.Options{})
 	if (refErr == nil) != (err == nil) {
 		t.Fatalf("reference err = %v, run err = %v", refErr, err)
 	}
@@ -77,7 +77,7 @@ func TestDifferentialRegistryAlgorithms(t *testing.T) {
 					// same builder error.
 					t.Skipf("builder: %v", err)
 				}
-				ref, got := runBoth(t, sc, 0)
+				ref, got := runBoth(t, sc)
 				if ref == nil {
 					return
 				}
@@ -92,38 +92,6 @@ func TestDifferentialRegistryAlgorithms(t *testing.T) {
 				}
 				sameBuffers(t, ref.Buffers, got.Buffers)
 			})
-		}
-	}
-}
-
-// TestDifferentialWorkerCounts shakes the partitioning: exec.Run's
-// parallel replay must match the Reference under every worker count,
-// including widths that do not divide the transfer counts.
-func TestDifferentialWorkerCounts(t *testing.T) {
-	tor := topology.MustNew(8, 8)
-	for _, name := range []string{"proposed-sim", "direct", "factored"} {
-		b, err := algorithm.For(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := b.BuildSchedule(tor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := exec.Reference(sc, exec.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 3, 5, 8, 64} {
-			got, err := exec.Run(sc, exec.Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if got.Measure != ref.Measure || got.MaxSharing != ref.MaxSharing {
-				t.Errorf("%s workers=%d: Measure %+v sharing %d, want %+v sharing %d",
-					name, workers, got.Measure, got.MaxSharing, ref.Measure, ref.MaxSharing)
-			}
-			sameBuffers(t, ref.Buffers, got.Buffers)
 		}
 	}
 }
@@ -148,7 +116,7 @@ func TestDifferentialSparseTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.Run(sc, exec.Options{Traffic: traffic, Workers: 3})
+	got, err := exec.Run(sc, exec.Options{Traffic: traffic})
 	if err != nil {
 		t.Fatal(err)
 	}

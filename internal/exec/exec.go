@@ -14,12 +14,16 @@
 //     (Shared steps), propagation from the per-step maximum route
 //     length, and rearrangement from the per-phase annotations.
 //
-// There is one executor: Compile validates a schedule once and lowers
-// it to a Program, whose runs replay a strided-descriptor plan (see
-// program.go and descriptor.go). Run is the one-shot form, Compile
-// followed by Program.Run, so the baselines, the collectives and the
-// proposed exchange are all checked and measured by the same code —
-// which is what makes the paper's Table 2 comparison apples-to-apples.
+// There is one executor with one replay loop: Compile validates a
+// schedule once and lowers it to a Program, whose runs replay a
+// strided-descriptor plan step by step, each step's transfers in
+// schedule order (see program.go and descriptor.go). That is the
+// Reference's semantics, so the two accept exactly the same schedules,
+// including ones that forward a block within the step that delivered
+// it. Run is the one-shot form, Compile followed by Program.Run, so the
+// baselines, the collectives and the proposed exchange are all checked
+// and measured by the same code — which is what makes the paper's
+// Table 2 comparison apples-to-apples.
 //
 // Reference is the slow serial oracle: it walks the schedule step by
 // step over block.Buffers, with none of Compile's lowering. Only tests
@@ -47,16 +51,6 @@ type Options struct {
 	// SkipChecks disables the per-step one-port and contention
 	// validation (for schedules already checked by their builder).
 	SkipChecks bool
-	// Serial selects a compiled program's schedule-order replay on the
-	// calling goroutine. The default (false) fans each step's gathers
-	// out by sender on a par.Workers()-wide pool, and rejects schedules
-	// that forward a block within the step that delivered it. Both
-	// replays deliver identical buffers. Reference ignores it.
-	Serial bool
-	// Workers overrides the fan-out width of the parallel replay
-	// (0 = runtime.GOMAXPROCS). Ignored when Serial is set, and by
-	// Reference.
-	Workers int
 	// Telemetry receives the run's span events, counters and per-link
 	// gauges (see internal/telemetry). Nil disables telemetry entirely:
 	// the executor takes exactly the uninstrumented code path behind a
@@ -108,7 +102,7 @@ func Run(sc *schedule.Schedule, opt Options) (*Result, error) {
 // oracle of the compiled one: one goroutine, steps walked strictly in
 // order, each transfer's payload moved between block.Buffers by
 // membership test. It honours Traffic, SkipChecks and Telemetry and
-// ignores Serial, Workers and Request. Only tests call it.
+// ignores Request. Only tests call it.
 func Reference(sc *schedule.Schedule, opt Options) (*Result, error) {
 	if sc == nil || sc.Fabric == nil {
 		return nil, fmt.Errorf("exec: nil schedule")
@@ -138,7 +132,7 @@ func Reference(sc *schedule.Schedule, opt Options) (*Result, error) {
 	if replay {
 		traffic := opt.Traffic
 		if traffic == nil {
-			traffic = fullTrafficCached(f)
+			traffic = FullTraffic(f)
 		}
 		n := f.Nodes()
 		perOrigin := make([]int, n)

@@ -77,10 +77,11 @@ func TestProposedStepInvariantsParallel(t *testing.T) {
 			if err := ferr.Err(); err != nil {
 				t.Fatalf("invariant violated at step %d: %v", ferr.Index(), err)
 			}
-			// And the parallel executor end to end: accepting the
+			// And the executor end to end: its compile fans the step
+			// checks out over the worker pool, and accepting the
 			// schedule implies every step passed the same checks.
-			if _, err := exec.Run(sc, exec.Options{Workers: 4}); err != nil {
-				t.Fatalf("parallel executor rejected the schedule: %v", err)
+			if _, err := exec.Run(sc, exec.Options{}); err != nil {
+				t.Fatalf("executor rejected the schedule: %v", err)
 			}
 		})
 	}

@@ -3,8 +3,8 @@
 // with Options.Request nil must allocate exactly what it allocated
 // before the layer existed and must not be measurably slower than a
 // replay recording live spans (which does strictly more work) —
-// plus the determinism contract: histograms exported from parallel
-// replays match the serial reference exactly.
+// plus the determinism contract: histograms exported from independent
+// replay sweeps match exactly.
 package exec_test
 
 import (
@@ -32,22 +32,19 @@ func compileDirect8x8(t testing.TB) *exec.Program {
 // count as one that never mentions the field.
 func TestObsDisabledAllocsUnchanged(t *testing.T) {
 	pg := compileDirect8x8(t)
-	for _, serial := range []bool{true, false} {
-		arena := pg.NewArena()
-		opt := exec.Options{Serial: serial}
-		run := func(o exec.Options) {
-			if _, err := pg.RunArena(arena, o); err != nil {
-				t.Fatal(err)
-			}
+	arena := pg.NewArena()
+	run := func(o exec.Options) {
+		if _, err := pg.RunArena(arena, o); err != nil {
+			t.Fatal(err)
 		}
-		run(opt) // warm the arena
-		baseline := testing.AllocsPerRun(10, func() { run(opt) })
-		var req *obs.Request
-		optNil := exec.Options{Serial: serial, Request: req}
-		withNil := testing.AllocsPerRun(10, func() { run(optNil) })
-		if withNil != baseline {
-			t.Errorf("serial=%v: nil-request replay allocates %v, plain replay %v", serial, withNil, baseline)
-		}
+	}
+	run(exec.Options{}) // warm the arena
+	baseline := testing.AllocsPerRun(10, func() { run(exec.Options{}) })
+	var req *obs.Request
+	optNil := exec.Options{Request: req}
+	withNil := testing.AllocsPerRun(10, func() { run(optNil) })
+	if withNil != baseline {
+		t.Errorf("nil-request replay allocates %v, plain replay %v", withNil, baseline)
 	}
 }
 
@@ -78,10 +75,10 @@ func TestObsDisabledNotSlowerThanEnabled(t *testing.T) {
 		}
 		return best
 	}
-	measure(func() exec.Options { return exec.Options{Serial: true} }) // warm up
-	disabled := measure(func() exec.Options { return exec.Options{Serial: true} })
+	measure(func() exec.Options { return exec.Options{} }) // warm up
+	disabled := measure(func() exec.Options { return exec.Options{} })
 	enabled := measure(func() exec.Options {
-		return exec.Options{Serial: true, Request: reg.StartRequest("guard")}
+		return exec.Options{Request: reg.StartRequest("guard")}
 	})
 	if float64(disabled) > 2*float64(enabled)+float64(2*time.Millisecond) {
 		t.Errorf("disabled obs slower than span-enabled: %v vs %v", disabled, enabled)
@@ -90,46 +87,50 @@ func TestObsDisabledNotSlowerThanEnabled(t *testing.T) {
 }
 
 // TestObsHistogramDeterministicAcrossExecutors pins the export
-// contract: N serial and N parallel replays of one program feed
-// identical histogram *shapes* — same metric names, same counts —
-// because a request's stage set depends only on the pipeline walked,
-// never on the executor's interleaving, and the histogram's bucketing
-// is a pure function of each observed value.
+// contract: two independent sweeps of N replays of one program — one
+// on a pooled arena, one on a fresh arena per run — feed identical
+// histogram *shapes* — same metric names, same counts — because a
+// request's stage set depends only on the pipeline walked, never on
+// the arena behind it, and the histogram's bucketing is a pure
+// function of each observed value.
 func TestObsHistogramDeterministicAcrossExecutors(t *testing.T) {
 	pg := compileDirect8x8(t)
 	const runs = 16
-	sweep := func(serial bool) *obs.Registry {
+	sweep := func(pooled bool) *obs.Registry {
 		reg := obs.NewRegistry()
 		arena := pg.AcquireArena()
 		defer pg.ReleaseArena(arena)
 		for i := 0; i < runs; i++ {
+			if !pooled {
+				arena = pg.NewArena()
+			}
 			req := reg.StartRequest("det")
-			if _, err := pg.RunArena(arena, exec.Options{Serial: serial, Request: req}); err != nil {
+			if _, err := pg.RunArena(arena, exec.Options{Request: req}); err != nil {
 				t.Fatal(err)
 			}
 			req.Finish()
 		}
 		return reg
 	}
-	for _, serial := range []bool{true, false} {
-		reg := sweep(serial)
+	for _, pooled := range []bool{true, false} {
+		reg := sweep(pooled)
 		s := reg.Snapshot()
 		h, ok := s.Hists["stage.replay.ns"]
 		if !ok {
-			t.Fatalf("serial=%v: no stage.replay.ns histogram; have %v", serial, s.Hists)
+			t.Fatalf("pooled=%v: no stage.replay.ns histogram; have %v", pooled, s.Hists)
 		}
 		if h.Count != runs {
-			t.Errorf("serial=%v: replay stage count = %d, want %d", serial, h.Count, runs)
+			t.Errorf("pooled=%v: replay stage count = %d, want %d", pooled, h.Count, runs)
 		}
 		var sum int64
 		for _, b := range h.Buckets {
 			sum += b
 		}
 		if sum != h.Count {
-			t.Errorf("serial=%v: bucket sum %d != count %d", serial, sum, h.Count)
+			t.Errorf("pooled=%v: bucket sum %d != count %d", pooled, sum, h.Count)
 		}
 		if rh, ok := s.Hists["req.det.ns"]; !ok || rh.Count != runs {
-			t.Errorf("serial=%v: request histogram = %+v, want count %d", serial, rh, runs)
+			t.Errorf("pooled=%v: request histogram = %+v, want count %d", pooled, rh, runs)
 		}
 	}
 }
@@ -137,7 +138,7 @@ func TestObsHistogramDeterministicAcrossExecutors(t *testing.T) {
 func BenchmarkExecObsDisabled(b *testing.B) {
 	pg := compileDirect8x8(b)
 	arena := pg.NewArena()
-	opt := exec.Options{Serial: true}
+	var opt exec.Options
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -155,7 +156,7 @@ func BenchmarkExecObsEnabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := reg.StartRequest("bench")
-		if _, err := pg.RunArena(arena, exec.Options{Serial: true, Request: req}); err != nil {
+		if _, err := pg.RunArena(arena, exec.Options{Request: req}); err != nil {
 			b.Fatal(err)
 		}
 		req.Finish()

@@ -71,9 +71,8 @@ type pstep struct {
 }
 
 // Program is a compiled schedule: the validated, densely indexed form
-// the serial and parallel replays execute. A Program is immutable after
-// Compile and safe for concurrent use; per-run mutable state lives in
-// an Arena.
+// the replay executes. A Program is immutable after Compile and safe
+// for concurrent use; per-run mutable state lives in an Arena.
 type Program struct {
 	sc  *schedule.Schedule
 	fab topology.Fabric
@@ -102,11 +101,6 @@ type Program struct {
 	// round-trips through the binary codec as bulk copies.
 	payloadBacking []int32
 	linkBacking    []int32
-	// parallelErr, when non-nil, records that the schedule forwards a
-	// block within the step that delivered it (serial semantics accept
-	// this; the two-barrier parallel replay cannot execute it). The
-	// parallel replay path returns it verbatim.
-	parallelErr error
 
 	// fullTraffic records that the program was compiled against the
 	// implicit all-to-all matrix (Options.Traffic nil); the codec then
@@ -301,8 +295,8 @@ func (p *Program) linksOf(pt *ptransfer) []int32 {
 // (opt.Traffic, nil meaning all-to-all) — and lowers it to a Program.
 // A schedule the Reference executor would reject fails here, at
 // compile time; a compiled program's runs cannot fail on a schedule
-// left unmodified. Options.Serial, Workers and Telemetry are run-time
-// choices and are ignored by Compile.
+// left unmodified. Options.Telemetry and Request are run-time choices
+// and are ignored by Compile.
 func Compile(sc *schedule.Schedule, opt Options) (*Program, error) {
 	if sc == nil || sc.Fabric == nil {
 		return nil, fmt.Errorf("exec: nil schedule")
@@ -690,11 +684,6 @@ type Arena struct {
 	log []int32
 	out []*block.Buffer
 	bad bool // a replay errored; the arena must not be pooled
-
-	// Cached per-step sender partitions for the parallel path, keyed by
-	// the worker count they were built for.
-	bucketWorkers int
-	srcBuckets    [][][]int
 }
 
 // NewArena returns a fresh scratch arena for p. A replayable program's
@@ -752,8 +741,6 @@ func (p *Program) Run(opt Options) (*Result, error) {
 // RunArena executes the program using a's scratch: every executed
 // transfer is one strided gather through the descriptor plan, and the
 // final deliveries are checked and expanded into Result.Buffers.
-// Options.Serial selects the schedule-order serial replay; otherwise
-// each step's gathers fan out by sender over Options.Workers.
 // Options.Traffic and Options.SkipChecks were compiled in and are
 // ignored here. The fast path allocates only the Result (plus, on the
 // arena's first run, the reusable delivery buffers).
@@ -764,16 +751,8 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 	res := &Result{Schedule: p.sc, Measure: p.measure, MaxSharing: p.maxSharing}
 	if p.replay {
 		sp := opt.Request.Stage("replay")
-		var err error
-		if opt.Serial {
-			a.replayDescSerial(nil)
-		} else {
-			err = a.replayDescParallel(opt.Workers, nil)
-		}
-		if err == nil {
-			err = a.checkDeliveryDesc()
-		}
-		if err != nil {
+		a.replayDesc(nil)
+		if err := a.checkDeliveryDesc(); err != nil {
 			sp.End()
 			a.bad = true
 			return nil, err
@@ -796,25 +775,6 @@ func (p *Program) RunArena(a *Arena, opt Options) (*Result, error) {
 		emitRun(opt.Telemetry, sc, res, p)
 	}
 	return res, nil
-}
-
-// ensureBuckets (re)builds the cached per-step sender partitions when
-// the worker count changes. Rebuilding is the only allocating path of
-// a reused arena; repeat runs with the same worker count reuse
-// everything.
-func (a *Arena) ensureBuckets(workers int) {
-	p := a.prog
-	if a.bucketWorkers != workers || a.srcBuckets == nil {
-		a.srcBuckets = make([][][]int, len(p.steps))
-		for si := range p.steps {
-			trs := p.steps[si].transfers
-			if len(trs) == 0 {
-				continue
-			}
-			a.srcBuckets[si] = par.Buckets(workers, len(trs), func(i int) int { return int(trs[i].src) })
-		}
-		a.bucketWorkers = workers
-	}
 }
 
 // outBuffers returns the arena's reusable output buffers, reset and
@@ -856,12 +816,13 @@ func (a *Arena) move(dst []int32, ps *pstep, ti int) {
 	}
 }
 
-// replayDescSerial replays the descriptor plan in schedule order, each
-// transfer's gather seeing every earlier transfer of the same step. No
-// compaction, no per-run reset — every window's contents are identical
-// run over run. dst is nil for RunArena and the caller's destination
-// for ReplayInto.
-func (a *Arena) replayDescSerial(dst []int32) {
+// replayDesc replays the descriptor plan in schedule order, each
+// transfer's gather seeing every earlier transfer of the same step —
+// the step semantics of Reference, so a block may be forwarded within
+// the step that delivered it. No compaction, no
+// per-run reset — every window's contents are identical run over run.
+// dst is nil for RunArena and the caller's destination for ReplayInto.
+func (a *Arena) replayDesc(dst []int32) {
 	p := a.prog
 	for si := range p.steps {
 		ps := &p.steps[si]
@@ -869,34 +830,6 @@ func (a *Arena) replayDescSerial(dst []int32) {
 			a.move(dst, ps, ti)
 		}
 	}
-}
-
-// replayDescParallel is the parallel path: one sender-sharded sweep per
-// step — a transfer's gather reads its source node's region
-// (conflict-free by the sender shard) and writes a compile-time-fixed
-// window no other transfer of the step touches, so one barrier per
-// step enforces synchronous-step semantics. Schedules that forward a
-// block within the step that delivered it were flagged at compile time
-// and are rejected here.
-func (a *Arena) replayDescParallel(workers int, dst []int32) error {
-	p := a.prog
-	if err := p.parallelErr; err != nil {
-		return err
-	}
-	a.ensureBuckets(workers)
-	// The closure is hoisted out of the step loop (reading the current
-	// step through ps) so a replay allocates one closure, not one per
-	// step.
-	var ps *pstep
-	move := func(_, ti int) { a.move(dst, ps, ti) }
-	for si := range p.steps {
-		ps = &p.steps[si]
-		if len(ps.transfers) == 0 {
-			continue
-		}
-		par.RunBucketsWorker(a.srcBuckets[si], move)
-	}
-	return nil
 }
 
 // checkDeliveryDesc is the run-time rematerialization guard: expand
@@ -956,11 +889,10 @@ func (a *Arena) materializeDesc() []*block.Buffer {
 // ids at the DeliveryOffset layout, element-for-element the buffers a
 // RunArena would return. Last-hop transfers gather straight into dst
 // (skipping the arena log) and elided transfers move nothing, so a
-// rewrite-only program writes no arena scratch at all — the serial
-// path then performs zero allocations. Options.Serial/Workers choose
-// the path as in RunArena. ReplayInto reports no Result and emits no
-// telemetry; callers that need either use RunArena.
-func (p *Program) ReplayInto(a *Arena, dst []int32, opt Options) error {
+// rewrite-only program writes no arena scratch at all. A warm
+// ReplayInto performs zero allocations. It reports no Result and emits
+// no telemetry; callers that need either use RunArena.
+func (p *Program) ReplayInto(a *Arena, dst []int32) error {
 	if a == nil || a.prog != p {
 		return fmt.Errorf("exec: arena does not belong to this program")
 	}
@@ -970,11 +902,7 @@ func (p *Program) ReplayInto(a *Arena, dst []int32, opt Options) error {
 	if len(dst) != p.DeliverySize() {
 		return fmt.Errorf("exec: ReplayInto destination holds %d elements, want %d", len(dst), p.DeliverySize())
 	}
-	if opt.Serial {
-		a.replayDescSerial(dst)
-	} else if err := a.replayDescParallel(opt.Workers, dst); err != nil {
-		return err
-	}
+	a.replayDesc(dst)
 	// Residual deliveries — blocks no last-hop transfer wrote (never
 	// moved, or last moved by an elided rewrite) — gather from the log
 	// into their precomputed slots.

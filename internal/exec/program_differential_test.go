@@ -1,6 +1,6 @@
 // Differential coverage for the compiled fast path: a compiled
-// Program's replay — serial or parallel, fresh arena or reused — must
-// be indistinguishable from the Reference oracle: identical
+// Program's replay — fresh arena or reused — must be
+// indistinguishable from the Reference oracle: identical
 // Measure counters, identical MaxSharing, identical delivery matrices
 // (same blocks, same buffer order), identical canonical telemetry
 // streams. This is the contract that lets the command-line tools and
@@ -10,7 +10,6 @@ package exec_test
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 
 	"torusx/internal/algorithm"
@@ -23,8 +22,8 @@ import (
 )
 
 // TestCompiledDifferentialRegistryAlgorithms: every Builder in the
-// registry, on 8x8, 4x4x4 and 12x8, compiled once and replayed on the
-// serial path, the parallel path, and a reused arena, must match the
+// registry, on 8x8, 4x4x4 and 12x8, compiled once and replayed on
+// fresh arenas and repeatedly on a reused one, must match the
 // Reference oracle exactly.
 func TestCompiledDifferentialRegistryAlgorithms(t *testing.T) {
 	for _, name := range algorithm.Names() {
@@ -52,14 +51,14 @@ func TestCompiledDifferentialRegistryAlgorithms(t *testing.T) {
 					label string
 					run   func() (*exec.Result, error)
 				}{
-					{"serial", func() (*exec.Result, error) { return pg.Run(exec.Options{Serial: true}) }},
-					{"parallel", func() (*exec.Result, error) { return pg.Run(exec.Options{}) }},
-					{"arena-serial-1", func() (*exec.Result, error) { return pg.RunArena(arena, exec.Options{Serial: true}) }},
-					// Replays 2..4 on the same arena: the reset path, the
-					// cached buckets and the reused delivery buffers must
-					// not leak state between runs or across path switches.
-					{"arena-parallel", func() (*exec.Result, error) { return pg.RunArena(arena, exec.Options{Workers: 3}) }},
-					{"arena-serial-2", func() (*exec.Result, error) { return pg.RunArena(arena, exec.Options{Serial: true}) }},
+					{"run-1", func() (*exec.Result, error) { return pg.Run(exec.Options{}) }},
+					{"run-2", func() (*exec.Result, error) { return pg.Run(exec.Options{}) }},
+					{"arena-1", func() (*exec.Result, error) { return pg.RunArena(arena, exec.Options{}) }},
+					// Replays 2..3 on the same arena: the rewritten log
+					// windows and the reused delivery buffers must not leak
+					// state between runs.
+					{"arena-2", func() (*exec.Result, error) { return pg.RunArena(arena, exec.Options{}) }},
+					{"arena-3", func() (*exec.Result, error) { return pg.RunArena(arena, exec.Options{}) }},
 				}
 				for _, r := range runs {
 					got, err := r.run()
@@ -82,44 +81,6 @@ func TestCompiledDifferentialRegistryAlgorithms(t *testing.T) {
 	}
 }
 
-// TestCompiledDifferentialWorkerCounts: the compiled parallel replay
-// must be invariant under the worker count, including widths that do
-// not divide the transfer counts, and including worker-count changes
-// on one reused arena (which rebuild the cached bucket partitions).
-func TestCompiledDifferentialWorkerCounts(t *testing.T) {
-	tor := topology.MustNew(8, 8)
-	for _, name := range []string{"proposed-sim", "direct", "factored"} {
-		b, err := algorithm.For(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := b.BuildSchedule(tor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := exec.Reference(sc, exec.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pg, err := exec.Compile(sc, exec.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		arena := pg.NewArena()
-		for _, workers := range []int{1, 2, 3, 5, 8, 64} {
-			got, err := pg.RunArena(arena, exec.Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
-			}
-			if got.Measure != ref.Measure || got.MaxSharing != ref.MaxSharing {
-				t.Errorf("%s workers=%d: Measure %+v sharing %d, want %+v sharing %d",
-					name, workers, got.Measure, got.MaxSharing, ref.Measure, ref.MaxSharing)
-			}
-			sameBuffers(t, ref.Buffers, got.Buffers)
-		}
-	}
-}
-
 // TestCompiledDifferentialTelemetry: a compiled run's telemetry stream
 // must be canonically identical to the Reference oracle's —
 // the post-pass reads precomputed sharing factors and dense link ids,
@@ -129,9 +90,9 @@ func TestCompiledDifferentialTelemetry(t *testing.T) {
 		for _, dims := range telemetryShapes {
 			dims := dims
 			t.Run(alg+"/"+topology.MustNew(dims...).String(), func(t *testing.T) {
-				serial := recordRun(t, alg, dims, true, exec.Options{})
-				if len(serial) == 0 {
-					t.Fatal("serial run emitted nothing")
+				ref := recordRun(t, alg, dims, true)
+				if len(ref) == 0 {
+					t.Fatal("reference run emitted nothing")
 				}
 				tor := topology.MustNew(dims...)
 				b, err := algorithm.For(alg)
@@ -146,26 +107,24 @@ func TestCompiledDifferentialTelemetry(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, serialRun := range []bool{true, false} {
-					sink := &telemetry.MemorySink{}
-					rec := telemetry.New(sink, costmodel.T3D(64))
-					if _, err := pg.Run(exec.Options{Serial: serialRun, Telemetry: rec}); err != nil {
-						t.Fatal(err)
-					}
-					compiled := dropCompiledOnlyEvents(sink.Events())
-					if len(compiled) != len(serial) {
-						t.Fatalf("serial=%v: %d events vs reference's %d", serialRun, len(compiled), len(serial))
-					}
-					a, b := telemetry.Canonical(serial), telemetry.Canonical(compiled)
-					if !reflect.DeepEqual(a, b) {
-						for i := range a {
-							if !reflect.DeepEqual(a[i], b[i]) {
-								t.Fatalf("serial=%v: canonical streams diverge at %d:\n reference %+v\n compiled  %+v",
-									serialRun, i, a[i], b[i])
-							}
+				sink := &telemetry.MemorySink{}
+				rec := telemetry.New(sink, costmodel.T3D(64))
+				if _, err := pg.Run(exec.Options{Telemetry: rec}); err != nil {
+					t.Fatal(err)
+				}
+				compiled := dropCompiledOnlyEvents(sink.Events())
+				if len(compiled) != len(ref) {
+					t.Fatalf("%d events vs reference's %d", len(compiled), len(ref))
+				}
+				want, got := telemetry.Canonical(ref), telemetry.Canonical(compiled)
+				if !reflect.DeepEqual(want, got) {
+					for i := range want {
+						if !reflect.DeepEqual(want[i], got[i]) {
+							t.Fatalf("canonical streams diverge at %d:\n reference %+v\n compiled  %+v",
+								i, want[i], got[i])
 						}
-						t.Fatalf("serial=%v: canonical streams diverge", serialRun)
 					}
+					t.Fatal("canonical streams diverge")
 				}
 			})
 		}
@@ -296,7 +255,7 @@ func TestCompiledSparseTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pg.Run(exec.Options{Workers: 3})
+	got, err := pg.Run(exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,13 +265,13 @@ func TestCompiledSparseTraffic(t *testing.T) {
 	sameBuffers(t, ref.Buffers, got.Buffers)
 }
 
-// TestIntraStepForwardingVerdicts pins the executor's verdicts on a
+// TestIntraStepForwardingVerdicts pins the executor's verdict on a
 // schedule where a transfer forwards a block delivered earlier in the
 // same step: node 0 sends B[0,2] to node 1, and node 1 forwards it to
-// node 2 within one step. Serial interleaved semantics accept it; the
-// two-barrier parallel replay cannot express it, so the parallel
-// replay must reject it at replay time, from a verdict precomputed
-// during Compile, while the serial replay and the Reference accept it.
+// node 2 within one step. The compiled replay runs a step's transfers
+// in schedule order, as the Reference does, so the compiled run, the
+// one-shot exec.Run and the Reference all accept the schedule and
+// deliver identical buffers.
 func TestIntraStepForwardingVerdicts(t *testing.T) {
 	tor := topology.MustNew(4)
 	b02 := block.Block{Origin: 0, Dest: 2}
@@ -328,40 +287,31 @@ func TestIntraStepForwardingVerdicts(t *testing.T) {
 			}},
 		}},
 	}
-	traffic := []block.Block{b02}
+	opt := exec.Options{Traffic: []block.Block{b02}}
 
-	// Compile accepts the schedule: serially it is valid.
-	pg, err := exec.Compile(sc, exec.Options{Traffic: traffic})
+	ref, err := exec.Reference(sc, opt)
+	if err != nil {
+		t.Fatalf("Reference: %v", err)
+	}
+	if !ref.Replayed || !ref.Buffers[2].Contains(b02) {
+		t.Fatalf("Reference did not deliver B[0,2] to node 2: %v", ref.Buffers)
+	}
+	pg, err := exec.Compile(sc, opt)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	res, err := pg.Run(exec.Options{Serial: true})
+	compiled, err := pg.Run(exec.Options{})
 	if err != nil {
-		t.Fatalf("compiled serial run: %v", err)
+		t.Fatalf("compiled run: %v", err)
 	}
-	if !res.Replayed {
-		t.Error("compiled serial run did not replay")
+	oneShot, err := exec.Run(sc, opt)
+	if err != nil {
+		t.Fatalf("exec.Run: %v", err)
 	}
-	if _, err := pg.Run(exec.Options{}); err == nil {
-		t.Error("compiled parallel run accepted an intra-step forward")
-	} else if !strings.Contains(err.Error(), "forwards") || !strings.Contains(err.Error(), "Options.Serial") {
-		t.Errorf("compiled parallel error %q should name the forward and the serial remedy", err)
-	}
-	// The parallel verdict must not poison later serial replays of the
-	// same program (fresh arena: the erroring one is never pooled).
-	if _, err := pg.Run(exec.Options{Serial: true}); err != nil {
-		t.Errorf("compiled serial run after parallel rejection: %v", err)
-	}
-
-	// The one-shot exec.Run gives the same verdicts, and the Reference
-	// oracle, with its serial semantics, accepts the schedule.
-	if _, err := exec.Run(sc, exec.Options{Traffic: traffic, Serial: true}); err != nil {
-		t.Errorf("serial exec.Run: %v", err)
-	}
-	if _, err := exec.Run(sc, exec.Options{Traffic: traffic}); err == nil {
-		t.Error("parallel exec.Run accepted an intra-step forward")
-	}
-	if _, err := exec.Reference(sc, exec.Options{Traffic: traffic}); err != nil {
-		t.Errorf("Reference: %v", err)
+	for _, got := range []*exec.Result{compiled, oneShot} {
+		if !got.Replayed {
+			t.Fatal("run did not replay")
+		}
+		sameBuffers(t, ref.Buffers, got.Buffers)
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"torusx/internal/telemetry"
 )
 
-// Telemetry emission. The compiled executor (serial or parallel
-// replay) and the Reference oracle both emit from this single serial
-// post-pass, which walks the schedule in phase/step/transfer order
-// after the run has validated: every path therefore produces identical
-// streams by construction. Emission runs only when the run asked for
+// Telemetry emission. The compiled executor's replay and the
+// Reference oracle both emit from this single serial post-pass, which
+// walks the schedule in phase/step/transfer order after the run has
+// validated: both paths therefore produce identical streams by
+// construction. Emission runs only when the run asked for
 // it — the hot path pays one Recorder.Enabled branch and nothing else,
 // enforced by the overhead guard in telemetry_guard_test.go.
 //

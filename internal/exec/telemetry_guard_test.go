@@ -59,7 +59,7 @@ func TestTelemetryDisabledAllocsUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := exec.Options{Serial: true}
+	var opt exec.Options
 	baseline := testing.AllocsPerRun(10, func() {
 		if _, err := exec.Run(sc, opt); err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestTelemetryDisabledAllocsUnchanged(t *testing.T) {
 	// the difference, but the test documents the contract) and with a
 	// zero-value-but-disabled recorder.
 	var rec *telemetry.Recorder
-	optNil := exec.Options{Serial: true, Telemetry: rec}
+	optNil := exec.Options{Telemetry: rec}
 	withNil := testing.AllocsPerRun(10, func() {
 		if _, err := exec.Run(sc, optNil); err != nil {
 			t.Fatal(err)
@@ -110,14 +110,14 @@ func TestTelemetryDisabledNotSlowerThanNop(t *testing.T) {
 		}
 		return best
 	}
-	measure(exec.Options{Serial: true}) // warm up
-	disabled := measure(exec.Options{Serial: true})
-	enabled := measure(exec.Options{Serial: true, Telemetry: nop})
+	measure(exec.Options{}) // warm up
+	disabled := measure(exec.Options{})
+	enabled := measure(exec.Options{Telemetry: nop})
 	// 2x headroom: the point is catching a leaked O(schedule) walk on
 	// the disabled path (which would show as disabled ~= enabled or
 	// worse), not micro-benchmarking a branch.
 	if float64(disabled) > 2*float64(enabled)+float64(2*time.Millisecond) {
 		t.Errorf("disabled telemetry slower than NopSink-enabled: %v vs %v", disabled, enabled)
 	}
-	t.Logf("16x16 serial: disabled %v, nop-enabled %v", disabled, enabled)
+	t.Logf("16x16: disabled %v, nop-enabled %v", disabled, enabled)
 }

@@ -91,7 +91,7 @@ func NewRegistry() *Registry {
 }
 
 // defaultRegistry is the process-wide registry every subsystem
-// (progcache, exec's arena pool and FullTraffic LRU, the cmd tools)
+// (progcache, exec's arena pool and replay counters, the cmd tools)
 // registers into.
 var defaultRegistry = NewRegistry()
 

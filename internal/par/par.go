@@ -4,8 +4,7 @@
 // goroutine scheduling, so per-shard results can be reduced in shard
 // order and the merged outcome is bit-identical to a serial
 // left-to-right walk. internal/exec shards schedule steps and nodes at
-// compile time and, within a replay step, transfers by sender;
-// internal/wormhole and internal/packetsim shard messages by
+// compile time; internal/wormhole and internal/packetsim shard messages by
 // link-disjoint component; internal/eventsim shards transfers by
 // endpoint and nodes by index.
 //
@@ -124,19 +123,8 @@ func Buckets(workers, n int, key func(i int) int) [][]int {
 // RunBuckets runs fn(i) for every index of every bucket: buckets run
 // concurrently with each other, indices within a bucket sequentially
 // in slice order. A single non-empty bucket runs inline. A panic in fn
-// re-panics on the caller's goroutine, as in RunBucketsWorker.
+// re-panics on the caller's goroutine once every bucket has returned.
 func RunBuckets(buckets [][]int, fn func(i int)) {
-	RunBucketsWorker(buckets, func(_, i int) { fn(i) })
-}
-
-// RunBucketsWorker is RunBuckets with the bucket index passed to the
-// callback: fn(w, i) runs on the goroutine owning bucket w, so w can
-// index per-worker scratch arenas (e.g. the compiled executor's
-// per-worker mark tables) without synchronization. Bucket indices are
-// stable — they depend only on the partition, never on scheduling. A
-// panic in fn re-panics on the caller's goroutine once every bucket
-// has returned.
-func RunBucketsWorker(buckets [][]int, fn func(worker, i int)) {
 	nonEmpty := 0
 	last := -1
 	for b, idx := range buckets {
@@ -150,18 +138,18 @@ func RunBucketsWorker(buckets [][]int, fn func(worker, i int)) {
 	}
 	if nonEmpty == 1 {
 		for _, i := range buckets[last] {
-			fn(last, i)
+			fn(i)
 		}
 		return
 	}
 	var g group
-	for b, idx := range buckets {
+	for _, idx := range buckets {
 		if len(idx) == 0 {
 			continue
 		}
 		g.Go(func() {
 			for _, i := range idx {
-				fn(b, i)
+				fn(i)
 			}
 		})
 	}

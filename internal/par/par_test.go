@@ -173,13 +173,6 @@ func TestParallelPanicReachesCaller(t *testing.T) {
 				}
 			})
 		}},
-		{"RunBucketsWorker", func() {
-			RunBucketsWorker(buckets, func(w, _ int) {
-				if w == 2 {
-					panic(boom)
-				}
-			})
-		}},
 		// One chunk runs inline; the panic is the caller's already.
 		{"ForEach-inline", func() { ForEach(1, 4, func(_, _ int) { panic(boom) }) }},
 	}

@@ -172,3 +172,58 @@ func BitMove(c topology.Coord, step int) Move {
 	}
 	return Move{Dim: dim, Dir: topology.Neg}
 }
+
+// The per-block rules below decide, for the node at self holding a
+// block bound for dest, whether and in which order the block moves in
+// each phase. The lock-step executor (internal/exchange) and the SPMD
+// node program (internal/simchan) both apply them.
+
+// GroupRemaining returns the number of stride-4 ring hops a block
+// bound for dest must still travel along move m, from the node at
+// self, before it reaches its proxy position in m.Dim. size is the
+// torus's size in m.Dim.
+func GroupRemaining(self, dest topology.Coord, m Move, size int) int {
+	proxy := (dest[m.Dim]/topology.GroupStride)*topology.GroupStride + self[m.Dim]%topology.GroupStride
+	d := proxy - self[m.Dim]
+	if m.Dir == topology.Neg {
+		d = -d
+	}
+	d %= size
+	if d < 0 {
+		d += size
+	}
+	return d / topology.GroupStride
+}
+
+// QuadBit returns 1 when dest lies in the other half of self's
+// 4-window along dim — the block crosses in the quad-phase step on
+// dim — and 0 otherwise.
+func QuadBit(self, dest topology.Coord, dim int) int {
+	if (self[dim]%topology.GroupStride)/2 != (dest[dim]%topology.GroupStride)/2 {
+		return 1
+	}
+	return 0
+}
+
+// LowBit returns 1 when dest differs from self in the low bit of dim —
+// the block crosses in the bit-phase step on dim — and 0 otherwise.
+func LowBit(self, dest topology.Coord, dim int) int {
+	if self[dim]%2 != dest[dim]%2 {
+		return 1
+	}
+	return 0
+}
+
+// GrayRank maps a bit string (most significant first) to its position
+// in the binary-reflected Gray-code sequence, the array order that
+// keeps every step's send set contiguous during the quad and bit
+// phases (the paper's B0,B1,B3,B2 arrangement generalized to n
+// dimensions).
+func GrayRank(bits []int) int {
+	rank, cur := 0, 0
+	for _, b := range bits {
+		cur ^= b
+		rank = rank<<1 | cur
+	}
+	return rank
+}

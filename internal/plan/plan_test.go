@@ -300,3 +300,53 @@ func TestBitMovePairsArePartners(t *testing.T) {
 		})
 	}
 }
+
+// TestPerBlockRules pins the per-block rules on a 12-wide ring, where
+// a stride-4 ring has three positions, and on 4-windows and bit pairs.
+func TestPerBlockRules(t *testing.T) {
+	const size = 12
+	pos, neg := Move{Dim: 0, Dir: topology.Pos}, Move{Dim: 0, Dir: topology.Neg}
+	cases := []struct {
+		self, dest int
+		m          Move
+		want       int
+	}{
+		{1, 1, pos, 0},  // already at the proxy
+		{1, 2, pos, 0},  // proxy of 2 from 1 is 1 itself
+		{1, 5, pos, 1},  // proxy 5: one stride forward
+		{1, 9, pos, 2},  // proxy 9: two strides forward
+		{1, 9, neg, 1},  // ... or one stride backward, wrapping
+		{9, 1, pos, 1},  // wraps forward past the end of the ring
+		{10, 3, neg, 2}, // proxy 2: two strides backward
+	}
+	for _, c := range cases {
+		got := GroupRemaining(topology.Coord{c.self}, topology.Coord{c.dest}, c.m, size)
+		if got != c.want {
+			t.Errorf("GroupRemaining(%d -> %d, %+v) = %d, want %d", c.self, c.dest, c.m, got, c.want)
+		}
+	}
+	self := topology.Coord{5, 2} // quad bits 0 and 1, low bits 1 and 0
+	for _, c := range []struct {
+		dest         topology.Coord
+		quad0, quad1 int
+		low0, low1   int
+	}{
+		{topology.Coord{5, 2}, 0, 0, 0, 0},
+		{topology.Coord{6, 1}, 1, 1, 1, 1},
+		{topology.Coord{4, 7}, 0, 0, 1, 1},
+		{topology.Coord{11, 3}, 1, 0, 0, 1},
+	} {
+		if got := QuadBit(self, c.dest, 0); got != c.quad0 {
+			t.Errorf("QuadBit(%v, %v, 0) = %d, want %d", self, c.dest, got, c.quad0)
+		}
+		if got := QuadBit(self, c.dest, 1); got != c.quad1 {
+			t.Errorf("QuadBit(%v, %v, 1) = %d, want %d", self, c.dest, got, c.quad1)
+		}
+		if got := LowBit(self, c.dest, 0); got != c.low0 {
+			t.Errorf("LowBit(%v, %v, 0) = %d, want %d", self, c.dest, got, c.low0)
+		}
+		if got := LowBit(self, c.dest, 1); got != c.low1 {
+			t.Errorf("LowBit(%v, %v, 1) = %d, want %d", self, c.dest, got, c.low1)
+		}
+	}
+}

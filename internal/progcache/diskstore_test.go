@@ -2,6 +2,7 @@ package progcache_test
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -39,11 +40,11 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after store")
 	}
-	want, err := pg.Run(exec.Options{Serial: true})
+	want, err := pg.Run(exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := got.Run(exec.Options{Serial: true})
+	res, err := got.Run(exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestTier2CrossProcessWarmth(t *testing.T) {
 	if st.Compiles != 0 || st.Tier2Hits != 1 || st.Misses != 1 {
 		t.Fatalf("cold process stats: %v", st)
 	}
-	want, err := pg.Run(exec.Options{Serial: true})
+	want, err := pg.Run(exec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,8 @@ func TestEvictionStatsDistinguishDiskBacked(t *testing.T) {
 
 // TestTier2StaleVersionIsMiss: program files written by an earlier
 // codec version (the committed v1 and v2 goldens of internal/exec,
-// planted under the key they were compiled for) are a clean tier-2
+// planted under the key they were compiled for), and a v3 file with the
+// retired forwarding-verdict flag (bit 3) set, are a clean tier-2
 // miss. The load deletes the stale file, the request compiles once and
 // writes back a current-version file, a fresh cache over the same
 // directory then hits tier 2, and the reloaded program delivers.
@@ -295,15 +297,23 @@ func TestTier2StaleVersionIsMiss(t *testing.T) {
 			return exec.Compile(sc, exec.Options{})
 		},
 	}
-	for _, tc := range []struct{ file, alg string }{
-		{"program_v1_direct4x4.bin", "direct"},
-		{"program_v2_direct4x4.bin", "direct"},
-		{"program_v2_factored4x4.bin", "factored"},
+	for _, tc := range []struct {
+		name, file, alg string
+		retiredFlag     bool
+	}{
+		{"program_v1_direct4x4.bin", "program_v1_direct4x4.bin", "direct", false},
+		{"program_v2_direct4x4.bin", "program_v2_direct4x4.bin", "direct", false},
+		{"program_v2_factored4x4.bin", "program_v2_factored4x4.bin", "factored", false},
+		{"program_v3_direct4x4.bin+flag3", "program_v3_direct4x4.bin", "direct", true},
 	} {
-		t.Run(tc.file, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			stale, err := os.ReadFile(filepath.Join("..", "exec", "testdata", tc.file))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.retiredFlag {
+				stale[6] |= 1 << 3
+				binary.LittleEndian.PutUint32(stale[len(stale)-4:], crc32.ChecksumIEEE(stale[:len(stale)-4]))
 			}
 			dir := t.TempDir()
 			key := progcache.Key(tc.alg, tor, 0)
@@ -351,22 +361,20 @@ func TestTier2StaleVersionIsMiss(t *testing.T) {
 			if st := warm.Stats(); st.Tier2Hits != 1 || st.Compiles != 0 {
 				t.Fatalf("fresh cache stats: %v, want 1 tier-2 hit, 0 compiles", st)
 			}
-			want, err := pg.Run(exec.Options{Serial: true})
+			want, err := pg.Run(exec.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opt := range []exec.Options{{Serial: true}, {Workers: 2}} {
-				res, err := got.Run(opt)
-				if err != nil {
-					t.Fatalf("replay of the reloaded program: %v", err)
-				}
-				if err := verify.Delivered(tor, res.Buffers); err != nil {
-					t.Fatalf("reloaded program misdelivers: %v", err)
-				}
-				for v := range want.Buffers {
-					if !reflect.DeepEqual(res.Buffers[v].View(), want.Buffers[v].View()) {
-						t.Fatalf("node %d delivery differs from the fresh compile", v)
-					}
+			res, err := got.Run(exec.Options{})
+			if err != nil {
+				t.Fatalf("replay of the reloaded program: %v", err)
+			}
+			if err := verify.Delivered(tor, res.Buffers); err != nil {
+				t.Fatalf("reloaded program misdelivers: %v", err)
+			}
+			for v := range want.Buffers {
+				if !reflect.DeepEqual(res.Buffers[v].View(), want.Buffers[v].View()) {
+					t.Fatalf("node %d delivery differs from the fresh compile", v)
 				}
 			}
 		})

@@ -156,7 +156,7 @@ func Key(alg string, f topology.Fabric, fp uint64) string {
 // component. Only fields exec.Compile consumes participate: SkipChecks
 // and the declared traffic matrix (order-insensitively hashed, so two
 // permutations of one matrix share a program). Run-time choices —
-// Serial, Workers, Telemetry — never split the cache. The nil
+// Telemetry and Request — never split the cache. The nil
 // (all-to-all) matrix fingerprints to a constant distinct from any
 // explicit matrix, including an explicit empty one.
 func Fingerprint(opt exec.Options) uint64 {

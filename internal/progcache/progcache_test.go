@@ -11,9 +11,12 @@ import (
 
 	"torusx/internal/baseline"
 	"torusx/internal/block"
+	"torusx/internal/costmodel"
 	"torusx/internal/exec"
+	"torusx/internal/obs"
 	"torusx/internal/par"
 	"torusx/internal/progcache"
+	"torusx/internal/telemetry"
 	"torusx/internal/topology"
 )
 
@@ -122,7 +125,11 @@ func TestFingerprint(t *testing.T) {
 		t.Errorf("SkipChecks fingerprint = %#x, want 1", fp)
 	}
 	// Runtime-only options never split the cache.
-	if fp := progcache.Fingerprint(exec.Options{Serial: true, Workers: 7}); fp != 0 {
+	runtimeOnly := exec.Options{
+		Telemetry: telemetry.New(telemetry.NopSink{}, costmodel.T3D(64)),
+		Request:   obs.NewRegistry().StartRequest("fp"),
+	}
+	if fp := progcache.Fingerprint(runtimeOnly); fp != 0 {
 		t.Errorf("runtime options fingerprint = %#x, want 0", fp)
 	}
 	// nil traffic (full all-to-all) is distinct from an explicit empty

@@ -153,8 +153,9 @@ func (nd *spmdNode) run() {
 
 	for p := 0; p < n; p++ {
 		m := moves[p]
+		size := nd.t.Dim(m.Dim)
 		nd.buf.SortByKey(func(b block.Block) int {
-			return nd.groupRemaining(nd.coords[b.Dest], m)
+			return plan.GroupRemaining(nd.self, nd.coords[b.Dest], m, size)
 		})
 		ringLen := nd.t.Dim(m.Dim) / topology.GroupStride
 		dest := nd.t.MoveID(nd.id, m.Dim, topology.GroupStride*int(m.Dir))
@@ -170,7 +171,7 @@ func (nd *spmdNode) run() {
 		m := plan.QuadMove(nd.self, s)
 		dest := nd.t.MoveID(nd.id, m.Dim, 2*int(m.Dir))
 		nd.step(true, dest, func(b block.Block) bool {
-			return nd.quadBit(b, m.Dim) == 1
+			return plan.QuadBit(nd.self, nd.coords[b.Dest], m.Dim) == 1
 		})
 	}
 
@@ -179,7 +180,7 @@ func (nd *spmdNode) run() {
 		m := plan.BitMove(nd.self, s)
 		dest := nd.t.MoveID(nd.id, m.Dim, int(m.Dir))
 		nd.step(true, dest, func(b block.Block) bool {
-			return nd.lowBit(b, m.Dim) == 1
+			return plan.LowBit(nd.self, nd.coords[b.Dest], m.Dim) == 1
 		})
 	}
 }
@@ -203,44 +204,11 @@ func (nd *spmdNode) step(active bool, dest topology.NodeID, pred func(block.Bloc
 	nd.bar.wait()
 }
 
-func (nd *spmdNode) groupRemaining(dest topology.Coord, m plan.Move) int {
-	proxyK := (dest[m.Dim]/topology.GroupStride)*topology.GroupStride + nd.self[m.Dim]%topology.GroupStride
-	d := proxyK - nd.self[m.Dim]
-	if m.Dir == topology.Neg {
-		d = -d
-	}
-	return nd.t.Wrap(m.Dim, d) / topology.GroupStride
-}
-
 func (nd *spmdNode) groupPred(m plan.Move) func(block.Block) bool {
+	size := nd.t.Dim(m.Dim)
 	return func(b block.Block) bool {
-		return nd.groupRemaining(nd.coords[b.Dest], m) > 0
+		return plan.GroupRemaining(nd.self, nd.coords[b.Dest], m, size) > 0
 	}
-}
-
-func (nd *spmdNode) quadBit(b block.Block, dim int) int {
-	dest := nd.coords[b.Dest]
-	if (nd.self[dim]%topology.GroupStride)/2 != (dest[dim]%topology.GroupStride)/2 {
-		return 1
-	}
-	return 0
-}
-
-func (nd *spmdNode) lowBit(b block.Block, dim int) int {
-	dest := nd.coords[b.Dest]
-	if nd.self[dim]%2 != dest[dim]%2 {
-		return 1
-	}
-	return 0
-}
-
-func grayRank(bits []int) int {
-	rank, cur := 0, 0
-	for _, b := range bits {
-		cur ^= b
-		rank = rank<<1 | cur
-	}
-	return rank
 }
 
 func (nd *spmdNode) quadKey(order []int) func(b block.Block) int {
@@ -250,9 +218,9 @@ func (nd *spmdNode) quadKey(order []int) func(b block.Block) int {
 	}
 	return func(b block.Block) int {
 		for j, dim := range order {
-			nd.bits[j] = nd.quadBit(b, dim)
+			nd.bits[j] = plan.QuadBit(nd.self, nd.coords[b.Dest], dim)
 		}
-		return grayRank(nd.bits)
+		return plan.GrayRank(nd.bits)
 	}
 }
 
@@ -263,8 +231,8 @@ func (nd *spmdNode) bitKey() func(b block.Block) int {
 	}
 	return func(b block.Block) int {
 		for dim := 0; dim < n; dim++ {
-			nd.bits[dim] = nd.lowBit(b, dim)
+			nd.bits[dim] = plan.LowBit(nd.self, nd.coords[b.Dest], dim)
 		}
-		return grayRank(nd.bits)
+		return plan.GrayRank(nd.bits)
 	}
 }

@@ -384,8 +384,8 @@ func (r *Recorder) NodeGauge(name string, f topology.Fabric, node int, value flo
 // ordinal schedule coordinates first, then scope, kind, name and link
 // key — with the diagnostic Worker field cleared. Two runs of the same
 // schedule are equivalent exactly when their canonical streams are
-// deep-equal; this is the comparison the serial-vs-parallel
-// differential tests perform.
+// deep-equal; this is the comparison the telemetry differential tests
+// perform.
 func Canonical(events []Event) []Event {
 	out := make([]Event, len(events))
 	copy(out, events)

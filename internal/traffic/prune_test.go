@@ -27,10 +27,8 @@ func pruneAndReplay(t *testing.T, sc *schedule.Schedule, m Matrix) *exec.Program
 	if err != nil {
 		t.Fatalf("compile of pruned schedule: %v", err)
 	}
-	for _, serial := range []bool{true, false} {
-		if _, err := pg.Run(exec.Options{Serial: serial}); err != nil {
-			t.Fatalf("replay (serial=%v): %v", serial, err)
-		}
+	if _, err := pg.Run(exec.Options{}); err != nil {
+		t.Fatalf("replay: %v", err)
 	}
 	return pg
 }
